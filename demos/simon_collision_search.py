@@ -9,8 +9,9 @@ phrased as energy minimization in two ways:
 
 * a literal constraint model over w/y bit variables (exportable as a
   matrix, but blind to the oracle), and
-* an oracle-coupled objective whose every evaluation queries g twice,
-  reaching its floor -1 exactly at a usable collision.
+* an oracle-coupled objective whose every evaluation needs g(w) and g(y),
+  reaching its floor -1 exactly at a usable collision (the search memoizes
+  labels, so each distinct string costs one query per solver call).
 """
 
 from hiddenstring import (

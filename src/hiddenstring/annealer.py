@@ -11,8 +11,9 @@ r draws from ``SeedSequence((seed, r))``.
 Two entry points: :func:`anneal` works on an explicit model and computes
 flip costs incrementally from cached local fields; :func:`anneal_black_box`
 works on an opaque energy callback (used for the oracle-coupled search,
-where the objective exists only behind oracle queries) and prices every
-flip with two callback evaluations.
+where the objective exists only behind oracle queries), carries the
+current state's energy and prices every flip with one callback evaluation
+of the flipped state.
 """
 
 from __future__ import annotations
@@ -211,9 +212,12 @@ def anneal_black_box(
 ) -> AnnealResult:
     """Metropolis single-flip search over an opaque energy callback.
 
-    Identical dynamics to :func:`anneal`, but each flip is priced by two
-    callback evaluations (current and flipped state); no structure of the
-    objective is assumed. ``energy_evaluations`` counts callback calls.
+    Identical dynamics to :func:`anneal`, but no structure of the objective
+    is assumed: each restart evaluates its start state once, then every
+    flip attempt costs one callback evaluation of the flipped state, the
+    current state's energy being carried from the last accepted flip.
+    ``energy_evaluations`` counts callback calls, ``restarts_used * (1 +
+    flips attempted)`` for a run that does not stop early.
     """
     if n_vars < 1:
         raise ValueError("need at least one variable")
@@ -230,9 +234,10 @@ def anneal_black_box(
         rng = _restart_rng(seed, r)
         s = rng.integers(0, 2, size=n_vars).tolist()
         value = sum(b << k for k, b in enumerate(s))
-        run_e = math.inf
-        run_raw = None
-        run_bits: list[int] | None = None
+        run_raw = energy(BitVector._trusted(tuple(s), value))
+        e_cur = float(run_raw)
+        evaluations += 1
+        run_e, run_bits = e_cur, s.copy()
         done = False
 
         for sweep in range(schedule.sweeps):
@@ -242,17 +247,14 @@ def anneal_black_box(
             order = rng.permutation(n_vars).tolist()
             uniforms = rng.random(n_vars).tolist()
             for k, i in enumerate(order):
-                raw_cur = energy(BitVector._trusted(tuple(s), value))
-                e_cur = float(raw_cur)
-                if e_cur < run_e:
-                    run_e, run_raw, run_bits = e_cur, raw_cur, s.copy()
                 s[i] ^= 1
                 value ^= 1 << i
                 raw_new = energy(BitVector._trusted(tuple(s), value))
                 e_new = float(raw_new)
-                evaluations += 2
+                evaluations += 1
                 de = e_new - e_cur
                 if de <= 0.0 or uniforms[k] < exp(-de / t):
+                    e_cur = e_new
                     if e_new < run_e:
                         run_e, run_raw, run_bits = e_new, raw_new, s.copy()
                 else:

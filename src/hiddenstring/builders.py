@@ -120,6 +120,23 @@ def _penalty_value(wj: int, yj: int) -> int:
     return -wj + 3 * yj - 2 * wj * yj
 
 
+def coupled_value(gw: int, gy: int, wj: int, yj: int, n: int, signal: str) -> int | Fraction:
+    """The coupled objective from the two oracle labels and the two j-bits.
+
+    ``indicator`` gives an int and ``hamming`` a Fraction; both are exact.
+    This is the one place the objective's formula lives: the public
+    :func:`simon_coupled_energy` and the coupled search's energy callback,
+    which memoizes labels instead of querying twice, both call it.
+    """
+    if signal == "indicator":
+        d = int(gw != gy)
+    elif signal == "hamming":
+        d = Fraction((gw ^ gy).bit_count(), n - 1)
+    else:
+        raise ValueError(f"signal must be one of {SIGNALS}, got {signal!r}")
+    return d + _penalty_value(wj, yj)
+
+
 def simon_coupled_energy(
     oracle: SimonOracle,
     w: BitVector,
@@ -143,8 +160,4 @@ def simon_coupled_energy(
         raise ValueError(f"signal must be one of {SIGNALS}, got {signal!r}")
     gw = oracle.query(w)
     gy = oracle.query(y)
-    if signal == "indicator":
-        d = Fraction(0 if gw == gy else 1)
-    else:
-        d = Fraction((gw ^ gy).bit_count(), n - 1)
-    return d + _penalty_value(w[j - 1], y[j - 1])
+    return Fraction(coupled_value(gw, gy, w[j - 1], y[j - 1], n, signal))

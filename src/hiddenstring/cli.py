@@ -268,6 +268,13 @@ def _cmd_build(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
+def _n_vars(cfg: RunConfig, n: int) -> int:
+    """Variables the solver anneals at size n; schedule overrides are sized to it."""
+    if cfg.problem == "bv":
+        return n
+    return 2 * n + 2 if cfg.mode == "literal" else 2 * n
+
+
 def _cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> int:
     n = cfg.n_list()[0]
     a = _hidden_bits(cfg, n)
@@ -275,13 +282,12 @@ def _cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> int:
         report = solve_bv(
             BvOracle(a),
             solver=cfg.solver,
-            schedule=cfg.schedule(n),
+            schedule=cfg.schedule(_n_vars(cfg, n)),
             seed=cfg.seed,
             blind=cfg.blind,
         )
     else:
         oracle = SimonOracle(a, seed=_spawn_seed((cfg.seed, 0x51)))
-        n_vars = 2 * n + 2 if cfg.mode == "literal" else 2 * n
         report = solve_simon(
             oracle,
             mode=cfg.mode,
@@ -289,7 +295,7 @@ def _cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> int:
             j=cfg.j,
             budget=cfg.budget,
             signal=cfg.signal,
-            schedule=cfg.schedule(n_vars),
+            schedule=cfg.schedule(_n_vars(cfg, n)),
             seed=cfg.seed,
             blind=cfg.blind,
         )
@@ -301,21 +307,26 @@ def _cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(cfg: RunConfig, args: argparse.Namespace) -> int:
-    ns = cfg.n_list()
-    rows = bench_calls(
-        cfg.problem,
-        ns,
-        cfg.trials,
-        seed=cfg.seed,
-        workers=cfg.workers,
-        solver=cfg.solver,
-        mode=cfg.mode,
-        j_policy=cfg.j_policy,
-        j=cfg.j,
-        budget=cfg.budget,
-        signal=cfg.signal,
-        schedule=cfg.schedule(2 * max(ns)),
-    )
+    # One table per n, so a schedule override is sized to that n; rows are
+    # seeded per (seed, n, trial) and do not depend on the other sizes.
+    rows = [
+        row
+        for n in cfg.n_list()
+        for row in bench_calls(
+            cfg.problem,
+            [n],
+            cfg.trials,
+            seed=cfg.seed,
+            workers=cfg.workers,
+            solver=cfg.solver,
+            mode=cfg.mode,
+            j_policy=cfg.j_policy,
+            j=cfg.j,
+            budget=cfg.budget,
+            signal=cfg.signal,
+            schedule=cfg.schedule(_n_vars(cfg, n)),
+        )
+    ]
     payload = {
         "schema_version": 1,
         "kind": "bench",
@@ -333,12 +344,12 @@ def _cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
         model = import_qubo(Path(args.infile))
     else:
         model = _build_model(cfg)
+    top = getattr(args, "top", None)
+    if top is not None and top < 1:
+        raise ValueError(f"--top must be positive, got {top}")
     spectrum = exhaustive_solve(model)
     entries = spectrum.entries
-    top = getattr(args, "top", None)
     if top is not None:
-        if top < 1:
-            raise ValueError(f"--top must be positive, got {top}")
         entries = entries[:top]
     payload = {
         "schema_version": 1,

@@ -28,7 +28,10 @@ from typing import Any, Sequence
 import numpy as np
 
 from .annealer import AnnealSchedule, anneal, anneal_black_box, default_schedule
-from .builders import build_bv_qubo, build_simon_literal_qubo, simon_coupled_energy
+from .builders import SIGNALS, build_bv_qubo, build_simon_literal_qubo, coupled_value
+# Not called here since the coupled search memoizes labels, but kept as an
+# attribute of this module: benchmarks/tracer.py wraps it by this name.
+from .builders import simon_coupled_energy  # noqa: F401
 from .model import BitVector, exhaustive_solve
 from .oracles import BvOracle, SimonOracle, random_hidden_string
 
@@ -254,6 +257,33 @@ def _coupled_schedule(n: int) -> AnnealSchedule:
     return AnnealSchedule(sweeps=48 * n, t_initial=6.0, t_final=0.01, restarts=1)
 
 
+def _coupled_objective(oracle: SimonOracle, j: int, signal: str):
+    """Energy callback of one coupled solver call, over the 2n-bit state.
+
+    The state integer holds w in its low n bits and y in its high n bits.
+    Oracle labels are memoized per callback, so each distinct half-string
+    costs one query per solver call however often the search revisits it;
+    the memo lives and dies with the call.
+    """
+    n = oracle.n
+    mask = (1 << n) - 1
+    bit = j - 1
+    labels: dict[int, int] = {}
+
+    def label(x: int) -> int:
+        g = labels.get(x)
+        if g is None:
+            g = labels[x] = oracle.query(BitVector.from_integer(x, n))
+        return g
+
+    def energy(state: BitVector) -> int | Fraction:
+        v = state.to_integer()
+        w, y = v & mask, v >> n
+        return coupled_value(label(w), label(y), (w >> bit) & 1, (y >> bit) & 1, n, signal)
+
+    return energy
+
+
 def _literal_schedule(n: int) -> AnnealSchedule:
     # Short cold-ish run: the four constrained variables settle in a few
     # sweeps and the unconstrained ones stay uniform.
@@ -280,15 +310,18 @@ def solve_simon(
     some call lands on a coordinate where the hidden string has a 1, the
     "fixed" policy keeps the given j throughout.
 
-    mode="coupled" anneals the oracle-coupled objective (every flip priced
-    by two oracle queries); mode="literal" anneals the explicit constraint
-    model, then asks the oracle (two queries) whether the sampled pair
-    actually collides.
+    mode="coupled" anneals the oracle-coupled objective, paying one oracle
+    query per distinct w or y half-string per solver call (labels are
+    memoized within the call); mode="literal" anneals the explicit
+    constraint model. Either way a returned pair with w != y then costs
+    two queries to check whether it actually collides.
     """
     if mode not in ("coupled", "literal"):
         raise ValueError(f"unknown mode {mode!r}")
     if j_policy not in ("cycle", "fixed"):
         raise ValueError(f"unknown j policy {j_policy!r}")
+    if mode == "coupled" and signal not in SIGNALS:
+        raise ValueError(f"signal must be one of {SIGNALS}, got {signal!r}")
     if j_policy == "fixed":
         if j is None:
             raise ValueError("fixed j policy needs an explicit j")
@@ -317,14 +350,8 @@ def solve_simon(
 
         if mode == "coupled":
             sched = schedule if schedule is not None else _coupled_schedule(n)
-
-            def energy(state: BitVector, _j: int = j_call) -> Fraction:
-                w = BitVector(state[:n])
-                y = BitVector(state[n:])
-                return simon_coupled_energy(oracle, w, y, _j, signal=signal)
-
             result = anneal_black_box(
-                energy,
+                _coupled_objective(oracle, j_call, signal),
                 2 * n,
                 sched,
                 seed=_spawn_seed(call_seed_pair),

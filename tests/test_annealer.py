@@ -144,13 +144,17 @@ class TestAnnealBlackBox:
         assert wrapped.best_assignment == explicit.best_assignment
         assert wrapped.best_energy == explicit.best_energy
 
-    def test_two_evaluations_per_flip_attempt(self):
+    def test_one_evaluation_per_flip_attempt_plus_one_per_restart(self):
         model = random_integer_model(np.random.default_rng(15), 4)
         sched = AnnealSchedule(sweeps=10, t_initial=1.0, t_final=0.1, restarts=2)
-        result = anneal_black_box(
-            lambda s: qubo_energy(model, s), 4, sched, seed=0
-        )
-        assert result.energy_evaluations == 2 * (2 * 10 * 4)
+        calls = []
+
+        def energy(s):
+            calls.append(s)
+            return qubo_energy(model, s)
+
+        result = anneal_black_box(energy, 4, sched, seed=0)
+        assert result.energy_evaluations == len(calls) == 2 * (1 + 10 * 4)
 
     def test_constant_objective_returns_some_assignment(self):
         sched = AnnealSchedule(sweeps=5, t_initial=1.0, t_final=0.5, restarts=2)

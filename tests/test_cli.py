@@ -157,6 +157,35 @@ class TestBench:
         assert [row["n"] for row in payload["rows"]] == [4, 6]
         assert all(row["success_count"] == 2 for row in payload["rows"])
 
+    def test_row_does_not_depend_on_the_other_sizes(self, capsys):
+        args = ("bench", "--problem", "bv", "--restarts", "3", "--trials", "4", "--seed", "2")
+        code, out, _ = run(capsys, *args, "--n", "4,8")
+        assert code == 0
+        code, single, _ = run(capsys, *args, "--n", "4")
+        assert code == 0
+        assert json.loads(out)["rows"][0] == json.loads(single)["rows"][0]
+
+    @pytest.mark.parametrize(
+        "flags, sweeps",
+        [
+            (("--problem", "bv"), [400, 800]),
+            (("--problem", "simon"), [800, 1600]),
+            (("--problem", "simon", "--mode", "literal"), [1000, 1800]),
+        ],
+    )
+    def test_schedule_override_sized_per_n(self, capsys, monkeypatch, flags, sweeps):
+        # --restarts alone sizes sweeps to 100 x the variables of each n.
+        seen = []
+
+        def fake_bench_calls(problem, n_values, trials, **options):
+            seen.append(options["schedule"].sweeps)
+            return []
+
+        monkeypatch.setattr("hiddenstring.cli.bench_calls", fake_bench_calls)
+        code, _, _ = run(capsys, "bench", *flags, "--n", "4,8", "--restarts", "3")
+        assert code == 0
+        assert seen == sweeps
+
 
 class TestSpectrum:
     def test_literal_model_spectrum(self, capsys):
@@ -177,6 +206,13 @@ class TestSpectrum:
         payload = json.loads(out)
         assert len(payload["entries"]) == 2
         assert payload["entries"][0] == [5, "-2"]
+
+    def test_top_must_be_positive(self, capsys):
+        code, out, err = run(
+            capsys, "spectrum", "--problem", "bv", "--n", "3", "--a", "5", "--top", "0"
+        )
+        assert code == 2 and out == ""
+        assert "--top must be positive" in err
 
     def test_from_file(self, capsys, tmp_path):
         path = tmp_path / "m.qubo"

@@ -1,11 +1,14 @@
 """Protocols: recovery, verification probes, query accounting, bench tables."""
 
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hiddenstring.annealer import AnnealSchedule
+from hiddenstring.builders import SIGNALS, simon_coupled_energy
 from hiddenstring.model import BitVector
 from hiddenstring.oracles import BvOracle, SimonOracle, random_hidden_string
 from hiddenstring.protocol import (
@@ -18,6 +21,9 @@ from hiddenstring.protocol import (
     verify_simon,
     xor_recover,
 )
+from hiddenstring.protocol import _coupled_objective
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "coupled_golden.json").read_text())
 
 
 class TestXorRecover:
@@ -120,6 +126,62 @@ class TestSolveBv:
     def test_rejects_unknown_solver(self):
         with pytest.raises(ValueError):
             solve_bv(BvOracle(BitVector.from_integer(1, 2)), solver="brute")
+
+
+class TestCoupledSearch:
+    @pytest.mark.parametrize(
+        "case, recorded",
+        [(g["case"], g["report"]) for g in GOLDEN["cases"]],
+        ids=[f"{k}-n{g['case']['n']}-{g['case']['signal']}-{g['case']['j_policy']}"
+             for k, g in enumerate(GOLDEN["cases"])],
+    )
+    def test_reproduces_recorded_reports_with_fewer_queries(self, case, recorded):
+        oracle = SimonOracle(BitVector.from_integer(case["a"], case["n"]), seed=case["oracle_seed"])
+        schedule = AnnealSchedule(**case["schedule"]) if case["schedule"] else None
+        report = solve_simon(
+            oracle,
+            j_policy=case["j_policy"],
+            j=case["j"],
+            budget=case["budget"],
+            signal=case["signal"],
+            schedule=schedule,
+            seed=case["seed"],
+        ).to_dict()
+        del report["wall_time_s"]
+        recorded = dict(recorded)
+        assert report.pop("oracle_queries") < recorded.pop("oracle_queries")
+        assert report == recorded
+
+    @pytest.mark.parametrize("signal", SIGNALS)
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_objective_equals_simon_coupled_energy_on_every_state(self, n, signal):
+        oracle = SimonOracle(BitVector.from_integer(0b101 if n == 3 else 0b0110, n), seed=n)
+        for j in range(1, n + 1):
+            energy = _coupled_objective(oracle, j, signal)
+            for v in range(1 << (2 * n)):
+                value = energy(BitVector.from_integer(v, 2 * n))
+                w = BitVector.from_integer(v & ((1 << n) - 1), n)
+                y = BitVector.from_integer(v >> n, n)
+                expected = simon_coupled_energy(oracle, w, y, j, signal=signal)
+                assert value == expected
+                assert isinstance(value, int if signal == "indicator" else Fraction)
+
+    def test_objective_queries_each_half_string_once_per_callback(self):
+        n = 3
+        oracle = SimonOracle(BitVector.from_integer(0b110, n), seed=1)
+        for _call in range(2):  # a new callback starts with an empty memo
+            energy = _coupled_objective(oracle, 2, "indicator")
+            before = oracle.queries
+            for v in range(1 << (2 * n)):
+                energy(BitVector.from_integer(v, 2 * n))
+            assert oracle.queries - before == 1 << n
+
+
+    def test_unknown_signal_rejected_before_any_query(self):
+        oracle = SimonOracle(BitVector.from_integer(0b101, 3), seed=0)
+        with pytest.raises(ValueError, match="signal"):
+            solve_simon(oracle, signal="square")
+        assert oracle.queries == 0
 
 
 class TestSolveSimon:
