@@ -8,12 +8,15 @@ Everything is driven by numpy's PCG64 generator, seeded explicitly, so a
 run is reproducible from its (model, schedule, seed) triple alone. Restart
 r draws from ``SeedSequence((seed, r))``.
 
-Two entry points: :func:`anneal` works on an explicit model and computes
-flip costs incrementally from cached local fields; :func:`anneal_black_box`
-works on an opaque energy callback (used for the oracle-coupled search,
-where the objective exists only behind oracle queries), carries the
-current state's energy and prices every flip with one callback evaluation
-of the flipped state.
+Two entry points. :func:`anneal` works on an explicit model: it compiles
+the rational coefficients once to integers over a common denominator, so
+local fields, flip costs and energies are exact Python ints; each sweep
+looks up acceptance probabilities in a table keyed by the integer cost; and
+an early-stop target is compared with the exact best energy rounded once to
+a float. :func:`anneal_black_box` works on an opaque energy callback (used
+for the oracle-coupled search, where the objective exists only behind
+oracle queries), carries the current state's energy and prices every flip
+with one callback evaluation of the flipped state.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import BitVector, QuboModel, qubo_energy
+from .model import BitVector, QuboModel, _compile, qubo_energy
 
 __all__ = [
     "AnnealSchedule",
@@ -92,11 +95,12 @@ def default_schedule(model: QuboModel) -> AnnealSchedule:
     n = model.n_vars
     if n == 0:
         raise ValueError("cannot build a schedule for an empty model")
-    strength = {lab: abs(h) for lab, h in model.linear.items()}
-    for (a, b), j in model.quadratic.items():
-        strength[a] = strength.get(a, Fraction(0)) + abs(j)
-        strength[b] = strength.get(b, Fraction(0)) + abs(j)
-    t0 = max(1.0, float(max(strength.values(), default=Fraction(0))))
+    den, h, couplers = _compile(model)
+    strength = [abs(c) for c in h]
+    for i, j, c in couplers:
+        strength[i] += abs(c)
+        strength[j] += abs(c)
+    t0 = max(1.0, max(strength) / den)
     return AnnealSchedule(sweeps=100 * n, t_initial=t0, t_final=0.01, restarts=8)
 
 
@@ -115,29 +119,34 @@ def anneal(
     """Metropolis single-flip search over an explicit model.
 
     Each sweep visits the variables in a fresh random order; a flip with
-    cost dE is accepted with probability min(1, exp(-dE/T)). Flip costs
-    come from incrementally maintained local fields, O(degree) per
-    accepted flip. The best assignment ever visited is kept across
-    restarts, merging energy ties toward the lexicographically least bit
-    sequence; its reported energy is re-evaluated exactly.
+    cost dE is accepted with probability min(1, exp(-dE/T)). The model is
+    compiled to integers over one common denominator ``den``, so local
+    fields, flip costs and running energies are exact Python ints, kept
+    incrementally at O(degree) per accepted flip. Each sweep fills a table
+    ``{dE: exp(-(dE/den)/T)}`` on first use of each cost. The best
+    assignment ever visited is kept across restarts, merging energy ties
+    toward the lexicographically least bit sequence; its reported energy is
+    re-evaluated exactly.
 
-    ``target_energy`` stops the run early once the best energy reaches it
-    (used when a lower bound for the objective is known).
+    ``target_energy`` stops the run early once a new best energy, rounded
+    to the nearest float as ``e / den``, is at most the target (used when a
+    lower bound for the objective is known). ``target_energy=float(E)`` for
+    an exact ground energy E therefore fires exactly at the ground.
+    ``trajectory`` records the best energy after each sweep as ``e / den``.
     """
     if schedule is None:
         schedule = default_schedule(model)
     n = model.n_vars
     if n == 0:
         raise ValueError("cannot anneal an empty model")
-    pos = {lab: k for k, lab in enumerate(model.labels)}
-    h = [0.0] * n
-    for lab, c in model.linear.items():
-        h[pos[lab]] = float(c)
-    pairs = [(pos[a], pos[b], float(c)) for (a, b), c in model.quadratic.items()]
-    neighbors: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for i, j, w in pairs:
+    den, h, couplers = _compile(model)
+    neighbors: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, j, w in couplers:
         neighbors[i].append((j, w))
         neighbors[j].append((i, w))
+
+    def reaches_target(e: int) -> bool:
+        return target_energy is not None and e / den <= target_energy
 
     best_e = math.inf
     best_bits: list[int] | None = None
@@ -151,38 +160,44 @@ def anneal(
         rng = _restart_rng(seed, r)
         s = rng.integers(0, 2, size=n).tolist()
         field = h.copy()
-        for i, j, w in pairs:
+        for i, j, w in couplers:
             if s[j]:
                 field[i] += w
             if s[i]:
                 field[j] += w
         energy = sum(h[i] for i in range(n) if s[i])
-        energy += sum(w for i, j, w in pairs if s[i] and s[j])
+        energy += sum(w for i, j, w in couplers if s[i] and s[j])
         run_e, run_bits = energy, s.copy()
-        done = target_energy is not None and min(best_e, run_e) <= target_energy
+        done = reaches_target(run_e)
 
         for sweep in range(schedule.sweeps):
             if done:
                 break
             t = schedule.temperature(sweep)
+            accept: dict[int, float] = {}
             order = rng.permutation(n).tolist()
             uniforms = rng.random(n).tolist()
             for k, i in enumerate(order):
                 de = field[i] if s[i] == 0 else -field[i]
                 attempts += 1
-                if de <= 0.0 or uniforms[k] < exp(-de / t):
-                    delta = 1 - 2 * s[i]
-                    s[i] ^= 1
-                    energy += de
-                    for jn, w in neighbors[i]:
-                        field[jn] += w * delta
-                    if energy < run_e:
-                        run_e, run_bits = energy, s.copy()
-                        if target_energy is not None and run_e <= target_energy:
-                            done = True
-                            break
+                if de > 0:
+                    p = accept.get(de)
+                    if p is None:
+                        p = accept[de] = exp(-(de / den) / t)
+                    if uniforms[k] >= p:
+                        continue
+                delta = 1 - 2 * s[i]
+                s[i] ^= 1
+                energy += de
+                for jn, w in neighbors[i]:
+                    field[jn] += w * delta
+                if energy < run_e:
+                    run_e, run_bits = energy, s.copy()
+                    if reaches_target(run_e):
+                        done = True
+                        break
             if trajectory is not None:
-                trajectory.append(min(best_e, run_e))
+                trajectory.append(min(best_e, run_e) / den)
         # Merge this restart's best; ties go to the smallest bit sequence
         # so the outcome is independent of restart ordering.
         if run_e < best_e or (run_e == best_e and run_bits < best_bits):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -348,9 +349,7 @@ def _cmd_spectrum(cfg: RunConfig, args: argparse.Namespace) -> int:
     if top is not None and top < 1:
         raise ValueError(f"--top must be positive, got {top}")
     spectrum = exhaustive_solve(model)
-    entries = spectrum.entries
-    if top is not None:
-        entries = entries[:top]
+    entries = list(itertools.islice(spectrum.iter_entries(), top))
     payload = {
         "schema_version": 1,
         "kind": "spectrum",

@@ -379,24 +379,39 @@ def ising_to_qubo(m: IsingModel) -> tuple[QuboModel, Fraction]:
     return QuboModel(m.labels, linear, quadratic), constant
 
 
+def _compile(model: QuboModel) -> tuple[int, list[int], list[tuple[int, int, int]]]:
+    """The model as integers over one common denominator.
+
+    Returns ``(den, h, couplers)``: ``den`` is the least common multiple of
+    all coefficient denominators, ``h[k]`` is ``den`` times the bias of the
+    variable at position k in label order, and ``couplers`` lists
+    ``(i, j, den * J_ij)`` with positions ``i < j``. The energy of an
+    assignment is the integer sum of its active terms, divided by ``den``.
+    """
+    coeffs = list(model.linear.values()) + list(model.quadratic.values())
+    den = math.lcm(1, *(c.denominator for c in coeffs))
+    pos = {lab: k for k, lab in enumerate(model.labels)}
+    h = [0] * model.n_vars
+    for lab, c in model.linear.items():
+        h[pos[lab]] = int(c * den)
+    couplers = [(pos[a], pos[b], int(c * den)) for (a, b), c in model.quadratic.items()]
+    return den, h, couplers
+
+
 def _scaled_energy_table(model: QuboModel) -> tuple[np.ndarray, int]:
     """Energies of all 2^n assignments as integers, times a common denominator.
 
     Index v of the returned array is the assignment whose bit k (LSB first)
     gives the value of the variable at position k in label order.
     """
-    n = model.n_vars
-    coeffs = list(model.linear.values()) + list(model.quadratic.values())
-    den = math.lcm(1, *(c.denominator for c in coeffs))
-    pos = {lab: k for k, lab in enumerate(model.labels)}
-    v = np.arange(1 << n, dtype=np.uint64)
-    energies = np.zeros(1 << n, dtype=np.int64)
-    for lab, h in model.linear.items():
-        bit = ((v >> pos[lab]) & 1).astype(np.int64)
-        energies += int(h * den) * bit
-    for (a, b), j in model.quadratic.items():
-        both = ((v >> pos[a]) & (v >> pos[b]) & 1).astype(np.int64)
-        energies += int(j * den) * both
+    den, h, couplers = _compile(model)
+    v = np.arange(1 << model.n_vars, dtype=np.uint64)
+    energies = np.zeros(1 << model.n_vars, dtype=np.int64)
+    for k, c in enumerate(h):
+        if c:
+            energies += c * ((v >> k) & 1).astype(np.int64)
+    for i, j, c in couplers:
+        energies += c * ((v >> i) & (v >> j) & 1).astype(np.int64)
     return energies, den
 
 

@@ -32,7 +32,7 @@ from .builders import SIGNALS, build_bv_qubo, build_simon_literal_qubo, coupled_
 # Not called here since the coupled search memoizes labels, but kept as an
 # attribute of this module: benchmarks/tracer.py wraps it by this name.
 from .builders import simon_coupled_energy  # noqa: F401
-from .model import BitVector, exhaustive_solve
+from .model import BitVector, _compile, exhaustive_solve
 from .oracles import BvOracle, SimonOracle, random_hidden_string
 
 __all__ = [
@@ -160,14 +160,9 @@ def _model_floor(model) -> Fraction:
 
     Tight for diagonal models, which makes it a safe early-stop target.
     """
-    total = Fraction(0)
-    for c in model.linear.values():
-        if c < 0:
-            total += c
-    for c in model.quadratic.values():
-        if c < 0:
-            total += c
-    return total
+    den, h, couplers = _compile(model)
+    total = sum(c for c in h if c < 0) + sum(c for _i, _j, c in couplers if c < 0)
+    return Fraction(total, den)
 
 
 def solve_bv(

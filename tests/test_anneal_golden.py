@@ -1,0 +1,136 @@
+"""Explicit-model annealer against reports recorded from the float annealer.
+
+``tests/data/anneal_golden.json`` holds ``anneal`` results recorded when the
+annealer priced flips with float coefficients. On integer models floats are
+exact, so every field must still match, trajectory included. On tenths-valued
+models the float energies drifted, so those results were recorded with the
+target raised by 1e-9; run with the exact target, every field but the
+trajectory must match, and the trajectory must agree to within that drift.
+"""
+
+import json
+import math
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from hiddenstring.annealer import AnnealSchedule, anneal, default_schedule
+from hiddenstring.builders import build_bv_qubo_from_bits, build_simon_literal_qubo
+from hiddenstring.model import QuboModel, VarLabel, exhaustive_solve
+from hiddenstring.oracles import random_hidden_string
+
+from test_model import random_integer_model, random_tenths_model
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "anneal_golden.json").read_text())
+# How far the float annealer's target was raised on tenths models.
+FLOAT_SLACK = 1e-9
+
+
+def diagonal_tenths_model(n):
+    """n independent variables with bias -1/10: ground -n/10 at all ones."""
+    labels = tuple(VarLabel.plain(i) for i in range(n))
+    return QuboModel(labels, {lab: Fraction(-1, 10) for lab in labels})
+
+
+def build_model(case):
+    kind, n, model_seed = case["kind"], case["n"], case["model_seed"]
+    rng = np.random.default_rng(model_seed)
+    if kind == "bv":
+        return build_bv_qubo_from_bits(random_hidden_string(n, rng))
+    if kind == "simon_literal":
+        return build_simon_literal_qubo(n, (n + 1) // 2)
+    if kind == "integer":
+        return random_integer_model(rng, n)
+    if kind == "tenths":
+        return random_tenths_model(rng, n)
+    if kind == "tenths_diagonal":
+        return diagonal_tenths_model(n)
+    raise ValueError(f"unknown model kind {kind!r}")
+
+
+def ground_energy(model):
+    """Exact ground energy: by enumeration, or the floor of a diagonal model."""
+    if model.n_vars <= 18:
+        return exhaustive_solve(model).ground_energy
+    assert not model.quadratic
+    return sum((c for c in model.linear.values() if c < 0), Fraction(0))
+
+
+def build_schedule(case, model):
+    sched = default_schedule(model)
+    if case["schedule"] == "short":
+        sched = AnnealSchedule(sweeps=4 * model.n_vars, t_initial=sched.t_initial,
+                               t_final=0.05, restarts=3)
+    return sched
+
+
+def run_case(case):
+    """Anneal one golden case; returns its schedule and result as plain data."""
+    model = build_model(case)
+    sched = build_schedule(case, model)
+    target = float(ground_energy(model)) if case["target"] else None
+    result = anneal(model, sched, seed=case["seed"], target_energy=target,
+                    record_trajectory=True)
+    return {
+        "schedule": [sched.sweeps, sched.t_initial, sched.t_final, sched.restarts],
+        "best_assignment": result.best_assignment.to_integer(),
+        "best_energy": str(result.best_energy),
+        "restarts_used": result.restarts_used,
+        "energy_evaluations": result.energy_evaluations,
+        "seed": result.seed,
+        "trajectory": run_length(result.trajectory),
+    }
+
+
+def run_length(values):
+    """[[value, count], ...] for runs of equal consecutive values."""
+    runs = []
+    for v in values:
+        if runs and runs[-1][0] == v:
+            runs[-1][1] += 1
+        else:
+            runs.append([v, 1])
+    return runs
+
+
+def expand(runs):
+    return [v for v, count in runs for _ in range(count)]
+
+
+def _case_id(entry):
+    c = entry["case"]
+    target = "target" if c["target"] else "free"
+    return f"{c['kind']}-{c['n']}-{c['schedule']}-{target}"
+
+
+INTEGER = [e for e in GOLDEN["cases"] if not e["case"]["kind"].startswith("tenths")]
+TENTHS = [e for e in GOLDEN["cases"] if e["case"]["kind"].startswith("tenths")]
+
+
+def test_golden_covers_every_model_schedule_and_target():
+    kinds = {(e["case"]["kind"], e["case"]["n"]) for e in GOLDEN["cases"]}
+    assert {("bv", 8), ("bv", 32), ("bv", 128), ("simon_literal", 3), ("simon_literal", 5),
+            ("simon_literal", 8), ("integer", 6), ("integer", 10), ("integer", 14)} <= kinds
+    for kind_n in kinds:
+        variants = {(e["case"]["schedule"], e["case"]["target"])
+                    for e in GOLDEN["cases"] if (e["case"]["kind"], e["case"]["n"]) == kind_n}
+        assert variants == {("default", False), ("default", True),
+                            ("short", False), ("short", True)}, kind_n
+
+
+@pytest.mark.parametrize("entry", INTEGER, ids=_case_id)
+def test_integer_models_reproduce_every_field(entry):
+    assert run_case(entry["case"]) == entry["result"]
+
+
+@pytest.mark.parametrize("entry", TENTHS, ids=_case_id)
+def test_tenths_models_reproduce_every_field_but_the_trajectory(entry):
+    got = run_case(entry["case"])
+    want = entry["result"]
+    got_traj, want_traj = expand(got.pop("trajectory")), expand(want["trajectory"])
+    assert got == {k: v for k, v in want.items() if k != "trajectory"}
+    assert len(got_traj) == len(want_traj)
+    assert all(math.isclose(g, w, rel_tol=0, abs_tol=FLOAT_SLACK)
+               for g, w in zip(got_traj, want_traj))

@@ -1,6 +1,7 @@
 """Annealer: schedules, Metropolis dynamics, determinism, black-box parity."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hiddenstring.builders import build_bv_qubo_from_bits, build_simon_literal_q
 from hiddenstring.model import BitVector, QuboModel, VarLabel, exhaustive_solve, qubo_energy
 from hiddenstring.oracles import random_hidden_string
 
-from test_model import random_integer_model
+from test_model import random_integer_model, random_tenths_model
 
 
 class TestAnnealSchedule:
@@ -112,6 +113,24 @@ class TestAnneal:
             expected = exhaustive_solve(model).ground_energy
             result = anneal(model, seed=trial)  # default schedule
             assert result.best_energy == expected
+
+    def test_decimal_target_fires_at_the_exact_floor(self):
+        # Ten biases of -1/10: float sums of the running energy read
+        # -0.9999999999999999 at the floor, so -1.0 never fired and all
+        # eight restarts ran. Integer energies stop in the first restart.
+        labels = tuple(VarLabel.plain(i) for i in range(10))
+        model = QuboModel(labels, {lab: Fraction(-1, 10) for lab in labels})
+        result = anneal(model, target_energy=-1.0, seed=0)
+        assert result.restarts_used == 1
+        assert result.energy_evaluations < default_schedule(model).sweeps * 10
+        assert result.best_energy == -1
+
+    def test_decimal_target_fires_at_the_exhaustive_ground(self):
+        model = random_tenths_model(np.random.default_rng(1), 10)
+        ground = exhaustive_solve(model).ground_energy
+        result = anneal(model, target_energy=float(ground), seed=1)
+        assert result.best_energy == ground
+        assert result.restarts_used == 1
 
     def test_reported_energy_is_exact(self):
         model = random_integer_model(np.random.default_rng(12), 6)

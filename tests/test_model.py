@@ -53,6 +53,18 @@ def random_integer_model(rng, n, lo=-5, hi=5):
     return QuboModel(labels, linear, quadratic)
 
 
+def random_tenths_model(rng, n):
+    """Dense random model with coefficients k/10, |k| <= 20."""
+    labels = tuple(VarLabel.plain(i) for i in range(n))
+    linear = {lab: Fraction(int(rng.integers(-20, 21)), 10) for lab in labels}
+    quadratic = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.5:
+                quadratic[(labels[i], labels[j])] = Fraction(int(rng.integers(-20, 21)), 10)
+    return QuboModel(labels, linear, quadratic)
+
+
 class TestBitVector:
     def test_roundtrip_integer(self):
         for n in (1, 3, 8):
