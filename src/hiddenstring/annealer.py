@@ -10,13 +10,16 @@ r draws from ``SeedSequence((seed, r))``.
 
 Two entry points. :func:`anneal` works on an explicit model: it compiles
 the rational coefficients once to integers over a common denominator, so
-local fields, flip costs and energies are exact Python ints; each sweep
-looks up acceptance probabilities in a table keyed by the integer cost; and
-an early-stop target is compared with the exact best energy rounded once to
-a float. :func:`anneal_black_box` works on an opaque energy callback (used
-for the oracle-coupled search, where the objective exists only behind
-oracle queries), carries the current state's energy and prices every flip
-with one callback evaluation of the flipped state.
+local fields, flip costs and energies are exact ints; each sweep looks up
+acceptance probabilities in a table keyed by the integer cost; and an
+early-stop target is compared with the exact best energy rounded once to a
+float. On a model without couplers whose costs fit in int64 (the
+Bernstein-Vazirani model among them), a sweep is a few numpy array
+operations rather than one Python step per visit, with identical results.
+:func:`anneal_black_box` works on an opaque energy callback (used for the
+oracle-coupled search, where the objective exists only behind oracle
+queries), carries the current state's energy and prices every flip with one
+callback evaluation of the flipped state.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import BitVector, QuboModel, _compile, qubo_energy
+from .model import BitVector, QuboModel, _compile, _fits_int64, qubo_energy
 
 __all__ = [
     "AnnealSchedule",
@@ -121,12 +124,18 @@ def anneal(
     Each sweep visits the variables in a fresh random order; a flip with
     cost dE is accepted with probability min(1, exp(-dE/T)). The model is
     compiled to integers over one common denominator ``den``, so local
-    fields, flip costs and running energies are exact Python ints, kept
-    incrementally at O(degree) per accepted flip. Each sweep fills a table
-    ``{dE: exp(-(dE/den)/T)}`` on first use of each cost. The best
-    assignment ever visited is kept across restarts, merging energy ties
-    toward the lexicographically least bit sequence; its reported energy is
-    re-evaluated exactly.
+    fields, flip costs and running energies are exact ints, kept
+    incrementally at O(degree) per accepted flip. Each sweep prices a cost
+    dE > 0 as ``exp(-(dE/den)/T)``. The best assignment ever visited is kept
+    across restarts, merging energy ties toward the lexicographically least
+    bit sequence; its reported energy is re-evaluated exactly.
+
+    A model without couplers, whose summed cost magnitudes stay below 2**63,
+    takes each sweep as a few whole-array numpy operations
+    (:func:`_diagonal_sweep`): no visit changes another variable's cost, so
+    the sweep's acceptances follow from the costs at its start. It draws the
+    same numbers and returns the same result, trajectory included, as the
+    sequential Python-int loop that every other model takes.
 
     ``target_energy`` stops the run early once a new best energy, rounded
     to the nearest float as ``e / den``, is at most the target (used when a
@@ -144,6 +153,11 @@ def anneal(
     for i, j, w in couplers:
         neighbors[i].append((j, w))
         neighbors[j].append((i, w))
+    diagonal = not couplers and _fits_int64(h, couplers)
+    if diagonal:
+        h_arr = np.array(h, dtype=np.int64)
+        levels, level_of = np.unique(np.abs(h_arr), return_inverse=True)
+        levels = levels.tolist()
 
     def reaches_target(e: int) -> bool:
         return target_energy is not None and e / den <= target_energy
@@ -158,8 +172,9 @@ def anneal(
     for r in range(schedule.restarts):
         restarts_used = r + 1
         rng = _restart_rng(seed, r)
-        s = rng.integers(0, 2, size=n).tolist()
-        field = h.copy()
+        start = rng.integers(0, 2, size=n)
+        s = start.tolist()
+        field = list(h)
         for i, j, w in couplers:
             if s[j]:
                 field[i] += w
@@ -169,33 +184,42 @@ def anneal(
         energy += sum(w for i, j, w in couplers if s[i] and s[j])
         run_e, run_bits = energy, s.copy()
         done = reaches_target(run_e)
+        if diagonal:
+            state = start.astype(np.int8)
+            cost = np.where(state == 0, h_arr, -h_arr)
 
         for sweep in range(schedule.sweeps):
             if done:
                 break
             t = schedule.temperature(sweep)
-            accept: dict[int, float] = {}
-            order = rng.permutation(n).tolist()
-            uniforms = rng.random(n).tolist()
-            for k, i in enumerate(order):
-                de = field[i] if s[i] == 0 else -field[i]
-                attempts += 1
-                if de > 0:
-                    p = accept.get(de)
-                    if p is None:
-                        p = accept[de] = exp(-(de / den) / t)
-                    if uniforms[k] >= p:
-                        continue
-                delta = 1 - 2 * s[i]
-                s[i] ^= 1
-                energy += de
-                for jn, w in neighbors[i]:
-                    field[jn] += w * delta
-                if energy < run_e:
-                    run_e, run_bits = energy, s.copy()
-                    if reaches_target(run_e):
-                        done = True
-                        break
+            if diagonal:
+                probs = np.array([exp(-(c / den) / t) for c in levels])
+                energy, run_e, run_bits, visits, done = _diagonal_sweep(
+                    rng, state, cost, probs[level_of], energy, run_e, run_bits, reaches_target)
+                attempts += visits
+            else:
+                accept: dict[int, float] = {}
+                order = rng.permutation(n).tolist()
+                uniforms = rng.random(n).tolist()
+                for k, i in enumerate(order):
+                    de = field[i] if s[i] == 0 else -field[i]
+                    attempts += 1
+                    if de > 0:
+                        p = accept.get(de)
+                        if p is None:
+                            p = accept[de] = exp(-(de / den) / t)
+                        if uniforms[k] >= p:
+                            continue
+                    delta = 1 - 2 * s[i]
+                    s[i] ^= 1
+                    energy += de
+                    for jn, w in neighbors[i]:
+                        field[jn] += w * delta
+                    if energy < run_e:
+                        run_e, run_bits = energy, s.copy()
+                        if reaches_target(run_e):
+                            done = True
+                            break
             if trajectory is not None:
                 trajectory.append(min(best_e, run_e) / den)
         # Merge this restart's best; ties go to the smallest bit sequence
@@ -214,6 +238,56 @@ def anneal(
         seed=seed,
         trajectory=tuple(trajectory) if trajectory is not None else None,
     )
+
+
+def _diagonal_sweep(
+    rng: np.random.Generator,
+    state: np.ndarray,
+    cost: np.ndarray,
+    p: np.ndarray,
+    energy: int,
+    run_e: int,
+    run_bits: list[int],
+    reaches_target: Callable[[int], bool],
+) -> tuple[int, int, list[int], int, bool]:
+    """One Metropolis sweep over a coupler-free model, in int64 numpy arrays.
+
+    ``state`` (int8) and ``cost`` (int64 flip costs) are updated in place;
+    ``p[i]`` is the acceptance probability of variable i's cost |cost[i]|.
+    The draws are the sequential loop's: a visit order, then one uniform
+    per visit. Accepting a visit depends only on its own cost and uniform,
+    so the accepted costs, summed in visit order, give the energy after
+    every visit. The strict running minima below ``run_e`` are the loop's
+    new best states; they are walked in order so that the exact target
+    check stops at the same visit. Returns the updated ``(energy, run_e,
+    run_bits, visits, done)``.
+    """
+    n = len(state)
+    order = rng.permutation(n)
+    uniforms = np.empty(n)
+    uniforms[order] = rng.random(n)
+    acc = (uniforms < p) | (cost <= 0)
+    # Energy after each visit, less the energy at the start of the sweep.
+    path = (cost * acc)[order].cumsum()
+    lowest = np.minimum.accumulate(path)
+    visits, done = n, False
+    if lowest[-1] < run_e - energy:
+        new_low = np.empty(n, dtype=bool)
+        new_low[0] = True
+        np.less(path[1:], lowest[:-1], out=new_low[1:])
+        new_low &= path < run_e - energy
+        for k in np.flatnonzero(new_low).tolist():
+            run_e, best = energy + int(path[k]), k
+            if reaches_target(run_e):
+                visits, done = k + 1, True
+                break
+        bits = state.copy()
+        head = order[: best + 1]
+        bits[head] ^= acc[head]
+        run_bits = bits.tolist()
+    state ^= acc
+    np.negative(cost, out=cost, where=acc)
+    return energy + int(path[visits - 1]), run_e, run_bits, visits, done
 
 
 def anneal_black_box(

@@ -21,6 +21,7 @@ matching the ``i < j`` sum above.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -251,6 +252,18 @@ class QuboModel:
     def n_vars(self) -> int:
         return len(self.labels)
 
+    @functools.cached_property
+    def _compiled(self):
+        # Not a dataclass field, so equality, hashing and repr ignore it.
+        coeffs = list(self.linear.values()) + list(self.quadratic.values())
+        den = math.lcm(1, *(c.denominator for c in coeffs))
+        pos = {lab: k for k, lab in enumerate(self.labels)}
+        h = [0] * self.n_vars
+        for lab, c in self.linear.items():
+            h[pos[lab]] = int(c * den)
+        couplers = tuple((pos[a], pos[b], int(c * den)) for (a, b), c in self.quadratic.items())
+        return den, tuple(h), couplers
+
     def position(self, label: VarLabel) -> int:
         return self.labels.index(label)
 
@@ -379,7 +392,7 @@ def ising_to_qubo(m: IsingModel) -> tuple[QuboModel, Fraction]:
     return QuboModel(m.labels, linear, quadratic), constant
 
 
-def _compile(model: QuboModel) -> tuple[int, list[int], list[tuple[int, int, int]]]:
+def _compile(model: QuboModel) -> tuple[int, tuple[int, ...], tuple[tuple[int, int, int], ...]]:
     """The model as integers over one common denominator.
 
     Returns ``(den, h, couplers)``: ``den`` is the least common multiple of
@@ -387,31 +400,38 @@ def _compile(model: QuboModel) -> tuple[int, list[int], list[tuple[int, int, int
     variable at position k in label order, and ``couplers`` lists
     ``(i, j, den * J_ij)`` with positions ``i < j``. The energy of an
     assignment is the integer sum of its active terms, divided by ``den``.
+    The triple is built once per model and shared by every caller.
     """
-    coeffs = list(model.linear.values()) + list(model.quadratic.values())
-    den = math.lcm(1, *(c.denominator for c in coeffs))
-    pos = {lab: k for k, lab in enumerate(model.labels)}
-    h = [0] * model.n_vars
-    for lab, c in model.linear.items():
-        h[pos[lab]] = int(c * den)
-    couplers = [(pos[a], pos[b], int(c * den)) for (a, b), c in model.quadratic.items()]
-    return den, h, couplers
+    return model._compiled
+
+
+def _fits_int64(h: Sequence[int], couplers: Sequence[tuple[int, int, int]]) -> bool:
+    """Whether every sum of distinct scaled coefficients fits in an int64.
+
+    Any energy, and any difference of two energies, is bounded in magnitude
+    by the summed magnitudes of the coefficients, so numpy int64 arithmetic
+    on them cannot wrap when that sum is below 2**63.
+    """
+    return sum(map(abs, h)) + sum(abs(c) for _i, _j, c in couplers) < 2**63
 
 
 def _scaled_energy_table(model: QuboModel) -> tuple[np.ndarray, int]:
     """Energies of all 2^n assignments as integers, times a common denominator.
 
     Index v of the returned array is the assignment whose bit k (LSB first)
-    gives the value of the variable at position k in label order.
+    gives the value of the variable at position k in label order. The table
+    is int64 when no sum can wrap, and exact Python ints (``dtype=object``)
+    otherwise.
     """
     den, h, couplers = _compile(model)
+    dtype = np.int64 if _fits_int64(h, couplers) else object
     v = np.arange(1 << model.n_vars, dtype=np.uint64)
-    energies = np.zeros(1 << model.n_vars, dtype=np.int64)
+    energies = np.zeros(1 << model.n_vars, dtype=dtype)
     for k, c in enumerate(h):
         if c:
-            energies += c * ((v >> k) & 1).astype(np.int64)
+            energies += c * ((v >> k) & 1).astype(dtype)
     for i, j, c in couplers:
-        energies += c * ((v >> i) & (v >> j) & 1).astype(np.int64)
+        energies += c * ((v >> i) & (v >> j) & 1).astype(dtype)
     return energies, den
 
 

@@ -6,6 +6,12 @@ exact, so every field must still match, trajectory included. On tenths-valued
 models the float energies drifted, so those results were recorded with the
 target raised by 1e-9; run with the exact target, every field but the
 trajectory must match, and the trajectory must agree to within that drift.
+
+``tests/data/diagonal_golden.json`` holds coupler-free cases (mixed integer
+biases, zero biases, all-zero biases, decimal biases with mixed
+denominators), recorded when every sweep took one Python step per visit.
+Such models now sweep as numpy array operations; every field must match,
+trajectory included.
 """
 
 import json
@@ -23,15 +29,42 @@ from hiddenstring.oracles import random_hidden_string
 
 from test_model import random_integer_model, random_tenths_model
 
-GOLDEN = json.loads((Path(__file__).parent / "data" / "anneal_golden.json").read_text())
+DATA = Path(__file__).parent / "data"
+GOLDEN = json.loads((DATA / "anneal_golden.json").read_text())
+# Coupler-free cases, recorded from the sequential loop before anneal swept
+# such models with numpy arrays.
+DIAGONAL = json.loads((DATA / "diagonal_golden.json").read_text())["cases"]
 # How far the float annealer's target was raised on tenths models.
 FLOAT_SLACK = 1e-9
 
 
+def diagonal_model(n, biases):
+    """Coupler-free model over n plain variables with the given biases."""
+    labels = tuple(VarLabel.plain(i) for i in range(n))
+    return QuboModel(labels, dict(zip(labels, biases)))
+
+
 def diagonal_tenths_model(n):
     """n independent variables with bias -1/10: ground -n/10 at all ones."""
-    labels = tuple(VarLabel.plain(i) for i in range(n))
-    return QuboModel(labels, {lab: Fraction(-1, 10) for lab in labels})
+    return diagonal_model(n, [Fraction(-1, 10)] * n)
+
+
+def mixed_diagonal_model(rng, n):
+    """Integer biases of magnitude 1..9, so a sweep meets several costs."""
+    signs = rng.choice([-1, 1], size=n)
+    return diagonal_model(n, [int(k) for k in signs * rng.integers(1, 10, size=n)])
+
+
+def zero_bias_diagonal_model(rng, n):
+    """About half the biases zero (cost-0 flips), the rest integers in [-6, 6]."""
+    return diagonal_model(n, [int(rng.integers(-6, 7)) if rng.random() < 0.5 else 0
+                              for _ in range(n)])
+
+
+def decimal_diagonal_model(rng, n):
+    """Biases k/d with mixed denominators d, so den is their LCM."""
+    return diagonal_model(n, [Fraction(int(rng.integers(-20, 21)), int(rng.choice([2, 3, 4, 5, 7, 10])))
+                              for _ in range(n)])
 
 
 def build_model(case):
@@ -47,6 +80,14 @@ def build_model(case):
         return random_tenths_model(rng, n)
     if kind == "tenths_diagonal":
         return diagonal_tenths_model(n)
+    if kind == "mixed_diagonal":
+        return mixed_diagonal_model(rng, n)
+    if kind == "zero_bias_diagonal":
+        return zero_bias_diagonal_model(rng, n)
+    if kind == "zero_diagonal":
+        return diagonal_model(n, [])
+    if kind == "decimal_diagonal":
+        return decimal_diagonal_model(rng, n)
     raise ValueError(f"unknown model kind {kind!r}")
 
 
@@ -122,6 +163,21 @@ def test_golden_covers_every_model_schedule_and_target():
 
 @pytest.mark.parametrize("entry", INTEGER, ids=_case_id)
 def test_integer_models_reproduce_every_field(entry):
+    assert run_case(entry["case"]) == entry["result"]
+
+
+def test_diagonal_golden_covers_every_kind_schedule_and_target():
+    kinds = {e["case"]["kind"] for e in DIAGONAL}
+    assert kinds == {"mixed_diagonal", "zero_bias_diagonal", "zero_diagonal", "decimal_diagonal"}
+    for kind in kinds:
+        variants = {(e["case"]["n"], e["case"]["schedule"], e["case"]["target"])
+                    for e in DIAGONAL if e["case"]["kind"] == kind}
+        assert variants == {(n, s, t) for n in (6, 48) for s in ("default", "short")
+                            for t in (False, True)}, kind
+
+
+@pytest.mark.parametrize("entry", DIAGONAL, ids=_case_id)
+def test_coupler_free_models_reproduce_every_field(entry):
     assert run_case(entry["case"]) == entry["result"]
 
 

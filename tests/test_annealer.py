@@ -2,10 +2,12 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from hiddenstring import annealer
 from hiddenstring.annealer import (
     AnnealSchedule,
     anneal,
@@ -13,7 +15,15 @@ from hiddenstring.annealer import (
     default_schedule,
 )
 from hiddenstring.builders import build_bv_qubo_from_bits, build_simon_literal_qubo
-from hiddenstring.model import BitVector, QuboModel, VarLabel, exhaustive_solve, qubo_energy
+from hiddenstring.model import (
+    BitVector,
+    QuboModel,
+    VarLabel,
+    _compile,
+    _fits_int64,
+    exhaustive_solve,
+    qubo_energy,
+)
 from hiddenstring.oracles import random_hidden_string
 
 from test_model import random_integer_model, random_tenths_model
@@ -131,6 +141,23 @@ class TestAnneal:
         result = anneal(model, target_energy=float(ground), seed=1)
         assert result.best_energy == ground
         assert result.restarts_used == 1
+
+    def test_coupler_free_model_past_int64_anneals_exactly_in_sequence(self):
+        # Summed magnitudes reach 2**63, so numpy int64 sums could wrap: the
+        # model must take the sequential Python-int loop and still reach
+        # its floor -2**63 - 2**60 exactly, with or without a target.
+        labels = tuple(VarLabel.plain(i) for i in range(4))
+        model = QuboModel(labels, dict(zip(labels, [-2**62, -2**62, 2**61, -2**60])))
+        den, h, couplers = _compile(model)
+        assert not couplers and not _fits_int64(h, couplers)
+        floor = -2**63 - 2**60
+        with mock.patch.object(annealer, "_diagonal_sweep", side_effect=AssertionError):
+            free = anneal(model, seed=4)
+            targeted = anneal(model, seed=4, target_energy=float(floor))
+        assert free.best_energy == floor
+        assert free.best_assignment == BitVector([1, 1, 0, 1])
+        assert targeted.best_energy == floor
+        assert targeted.restarts_used == 1
 
     def test_reported_energy_is_exact(self):
         model = random_integer_model(np.random.default_rng(12), 6)
