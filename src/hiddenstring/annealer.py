@@ -19,11 +19,14 @@ operations rather than one Python step per visit, with identical results.
 :func:`anneal_black_box` works on an opaque energy callback (used for the
 oracle-coupled search, where the objective exists only behind oracle
 queries), carries the current state's energy and prices every flip with one
-callback evaluation of the flipped state.
+callback evaluation of the flipped state. Its state is a single integer,
+flipped with an xor and handed to the callback as a :class:`BitVector`
+that wraps the integer without unpacking its bits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,9 +68,12 @@ class AnnealSchedule:
         if not (self.t_final > 0 and self.t_initial >= self.t_final):
             raise ValueError("need t_initial >= t_final > 0")
 
-    @property
+    @functools.cached_property
     def decay(self) -> float:
-        """Per-sweep temperature factor derived from the endpoints."""
+        """Per-sweep temperature factor derived from the endpoints.
+
+        Computed once per schedule: :meth:`temperature` runs every sweep.
+        """
         if self.sweeps == 1:
             return 1.0
         return (self.t_final / self.t_initial) ** (1.0 / (self.sweeps - 1))
@@ -107,8 +113,13 @@ def default_schedule(model: QuboModel) -> AnnealSchedule:
     return AnnealSchedule(sweeps=100 * n, t_initial=t0, t_final=0.01, restarts=8)
 
 
-def _restart_rng(seed: int, restart: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, restart)))
+def _seeded_rng(*path: int) -> np.random.Generator:
+    """PCG64 generator seeded from a path of integers, e.g. ``(seed, restart)``.
+
+    Every seeded stream in the package (annealer restarts, protocol probes,
+    CLI hidden strings) is derived here.
+    """
+    return np.random.default_rng(np.random.SeedSequence(path))
 
 
 def anneal(
@@ -171,7 +182,7 @@ def anneal(
 
     for r in range(schedule.restarts):
         restarts_used = r + 1
-        rng = _restart_rng(seed, r)
+        rng = _seeded_rng(seed, r)
         start = rng.integers(0, 2, size=n)
         s = start.tolist()
         field = list(h)
@@ -307,60 +318,80 @@ def anneal_black_box(
     current state's energy being carried from the last accepted flip.
     ``energy_evaluations`` counts callback calls, ``restarts_used * (1 +
     flips attempted)`` for a run that does not stop early.
+
+    The state is one integer (bit k is variable k) and a flip is an xor;
+    the callback receives it as a :class:`BitVector` that stores only that
+    integer. Each sweep prices a cost dE > 0 once in a ``{dE: p}`` table.
+    ``target_energy`` stops the run when a new best energy is at most the
+    target; a start state that already meets it stops after one flip
+    attempt.
     """
     if n_vars < 1:
         raise ValueError("need at least one variable")
     best_e = math.inf
     best_raw = None
-    best_bits: list[int] | None = None
+    best_value: int | None = None
     evaluations = 0
     restarts_used = 0
     trajectory: list[float] | None = [] if record_trajectory else None
     exp = math.exp
+    of = BitVector._of
 
     for r in range(schedule.restarts):
         restarts_used = r + 1
-        rng = _restart_rng(seed, r)
-        s = rng.integers(0, 2, size=n_vars).tolist()
-        value = sum(b << k for k, b in enumerate(s))
-        run_raw = energy(BitVector._trusted(tuple(s), value))
+        rng = _seeded_rng(seed, r)
+        start = rng.integers(0, 2, size=n_vars).tolist()
+        value = sum(b << k for k, b in enumerate(start))
+        run_raw = energy(of(value, n_vars))
         e_cur = float(run_raw)
         evaluations += 1
-        run_e, run_bits = e_cur, s.copy()
+        run_e, run_value = e_cur, value
+        met = target_energy is not None and run_e <= target_energy
         done = False
 
         for sweep in range(schedule.sweeps):
             if done:
                 break
             t = schedule.temperature(sweep)
+            accept: dict[float, float] = {}
             order = rng.permutation(n_vars).tolist()
             uniforms = rng.random(n_vars).tolist()
+            if met:  # the start state is at the target: one attempt, then stop
+                del order[1:]
+                done = True
             for k, i in enumerate(order):
-                s[i] ^= 1
                 value ^= 1 << i
-                raw_new = energy(BitVector._trusted(tuple(s), value))
+                raw_new = energy(of(value, n_vars))
                 e_new = float(raw_new)
                 evaluations += 1
                 de = e_new - e_cur
-                if de <= 0.0 or uniforms[k] < exp(-de / t):
-                    e_cur = e_new
-                    if e_new < run_e:
-                        run_e, run_raw, run_bits = e_new, raw_new, s.copy()
-                else:
-                    s[i] ^= 1
-                    value ^= 1 << i
-                if target_energy is not None and min(best_e, run_e) <= target_energy:
-                    done = True
-                    break
+                # Negated tests, so that a NaN cost (inf - inf) is rejected.
+                if not de <= 0.0:
+                    p = accept.get(de)
+                    if p is None:
+                        p = accept[de] = exp(-de / t)
+                    if not uniforms[k] < p:
+                        value ^= 1 << i
+                        continue
+                e_cur = e_new
+                if e_new < run_e:
+                    run_e, run_raw, run_value = e_new, raw_new, value
+                    if target_energy is not None and run_e <= target_energy:
+                        done = True
+                        break
             if trajectory is not None:
                 trajectory.append(min(best_e, run_e))
-        if run_e < best_e or (run_e == best_e and run_bits < best_bits):
-            best_e, best_raw, best_bits = run_e, run_raw, run_bits
+        # Ties go to the smallest bit sequence, as in :func:`anneal`. The
+        # first restart always merges, even when its best energy is inf.
+        if best_value is None or run_e < best_e or (
+            run_e == best_e and of(run_value, n_vars).bits < of(best_value, n_vars).bits
+        ):
+            best_e, best_raw, best_value = run_e, run_raw, run_value
         if done:
             break
 
     return AnnealResult(
-        best_assignment=BitVector(best_bits),
+        best_assignment=of(best_value, n_vars),
         best_energy=best_raw,
         restarts_used=restarts_used,
         energy_evaluations=evaluations,

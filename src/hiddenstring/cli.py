@@ -20,9 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
-import numpy as np
-
-from .annealer import AnnealSchedule
+from .annealer import AnnealSchedule, _seeded_rng
 from .builders import build_bv_qubo_from_bits, build_simon_literal_qubo
 from .model import BitVector, QuboModel, exhaustive_solve
 from .oracles import BvOracle, SimonOracle, random_hidden_string
@@ -247,8 +245,7 @@ def _hidden_bits(cfg: RunConfig, n: int) -> BitVector:
     nonzero = cfg.problem == "simon"
     if isinstance(cfg.a, int):
         return BitVector.from_integer(cfg.a, n)
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA0)))
-    return random_hidden_string(n, rng, nonzero=nonzero)
+    return random_hidden_string(n, _seeded_rng(cfg.seed, 0xA0), nonzero=nonzero)
 
 
 def _build_model(cfg: RunConfig) -> QuboModel:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,33 +55,35 @@ class BitVector:
     """Immutable fixed-length sequence of 0/1 values.
 
     Index ``k`` holds bit ``k`` of the corresponding integer, i.e. index 0
-    is the least significant bit.
+    is the least significant bit. Only the integer and the length are
+    stored; the ``bits`` tuple is built when asked for, so a vector made
+    from an integer costs no per-bit work until it is read bit by bit.
     """
 
-    __slots__ = ("_bits", "_value")
+    __slots__ = ("_value", "_n")
 
     def __init__(self, bits: Iterable[int]):
         bits = tuple(int(b) for b in bits)
         if any(b not in (0, 1) for b in bits):
             raise ValueError(f"bits must be 0 or 1, got {bits!r}")
-        self._bits = bits
         self._value = sum(b << k for k, b in enumerate(bits))
+        self._n = len(bits)
 
     @classmethod
     def from_integer(cls, value: int, n: int) -> "BitVector":
-        """Bits of ``value`` in LSB-first order, padded/truncated to length ``n``."""
+        """Bits of ``value`` in LSB-first order; ``value`` must fit in ``n`` bits."""
         if value < 0:
             raise ValueError("value must be non-negative")
         if value >> n:
             raise ValueError(f"value {value} does not fit in {n} bits")
-        return cls._trusted(tuple((value >> k) & 1 for k in range(n)), value)
+        return cls._of(value, n)
 
     @classmethod
-    def _trusted(cls, bits: tuple[int, ...], value: int) -> "BitVector":
-        # Internal fast path: caller guarantees bits are 0/1 and value matches.
+    def _of(cls, value: int, n: int) -> "BitVector":
+        # Internal fast path: caller guarantees 0 <= value < 2**n.
         bv = object.__new__(cls)
-        bv._bits = bits
         bv._value = value
+        bv._n = n
         return bv
 
     def to_integer(self) -> int:
@@ -88,7 +91,8 @@ class BitVector:
 
     @property
     def bits(self) -> tuple[int, ...]:
-        return self._bits
+        v = self._value
+        return tuple((v >> k) & 1 for k in range(self._n))
 
     def popcount(self) -> int:
         return self._value.bit_count()
@@ -96,31 +100,38 @@ class BitVector:
     def __xor__(self, other: "BitVector") -> "BitVector":
         if not isinstance(other, BitVector):
             return NotImplemented
-        if len(other) != len(self):
+        if other._n != self._n:
             raise ValueError(
-                f"length mismatch: {len(self)} vs {len(other)} bits"
+                f"length mismatch: {self._n} vs {other._n} bits"
             )
-        return BitVector.from_integer(self._value ^ other._value, len(self))
+        return BitVector._of(self._value ^ other._value, self._n)
 
     def __len__(self) -> int:
-        return len(self._bits)
+        return self._n
 
     def __getitem__(self, k):
-        return self._bits[k]
+        if isinstance(k, slice):
+            return self.bits[k]
+        k = operator.index(k)
+        if k < 0:
+            k += self._n
+        if not 0 <= k < self._n:
+            raise IndexError("BitVector index out of range")
+        return (self._value >> k) & 1
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._bits)
+        return iter(self.bits)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, BitVector):
-            return self._bits == other._bits
+            return self._n == other._n and self._value == other._value
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._bits)
+        return hash(self.bits)
 
     def __repr__(self) -> str:
-        return f"BitVector({''.join(map(str, reversed(self._bits)))}={self._value}, n={len(self._bits)})"
+        return f"BitVector({''.join(map(str, reversed(self.bits)))}={self._value}, n={self._n})"
 
 
 class VarKind(enum.Enum):

@@ -27,7 +27,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .annealer import AnnealSchedule, anneal, anneal_black_box, default_schedule
+from .annealer import AnnealSchedule, _seeded_rng, anneal, anneal_black_box, default_schedule
 from .builders import SIGNALS, build_bv_qubo, build_simon_literal_qubo, coupled_value
 # Not called here since the coupled search memoizes labels, but kept as an
 # attribute of this module: benchmarks/tracer.py wraps it by this name.
@@ -101,10 +101,6 @@ class ExperimentReport:
             "trace": [dict(rec) for rec in self.trace],
             "diagnostics": dict(self.diagnostics),
         }
-
-
-def _seeded_rng(*path: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(path))
 
 
 def xor_recover(w: BitVector, y: BitVector) -> BitVector:
@@ -258,23 +254,29 @@ def _coupled_objective(oracle: SimonOracle, j: int, signal: str):
     The state integer holds w in its low n bits and y in its high n bits.
     Oracle labels are memoized per callback, so each distinct half-string
     costs one query per solver call however often the search revisits it;
-    the memo lives and dies with the call.
+    the memo lives and dies with the call. The indicator objective is the
+    label mismatch plus a penalty looked up by (w_j, y_j); the table is
+    filled from :func:`builders.coupled_value` at equal labels.
     """
     n = oracle.n
     mask = (1 << n) - 1
     bit = j - 1
     labels: dict[int, int] = {}
-
-    def label(x: int) -> int:
-        g = labels.get(x)
-        if g is None:
-            g = labels[x] = oracle.query(BitVector.from_integer(x, n))
-        return g
+    penalty = [coupled_value(0, 0, k & 1, k >> 1, n, "indicator") for k in range(4)]
+    indicator = signal == "indicator"
 
     def energy(state: BitVector) -> int | Fraction:
         v = state.to_integer()
         w, y = v & mask, v >> n
-        return coupled_value(label(w), label(y), (w >> bit) & 1, (y >> bit) & 1, n, signal)
+        gw = labels.get(w)
+        if gw is None:
+            gw = labels[w] = oracle.query(BitVector.from_integer(w, n))
+        gy = labels.get(y)
+        if gy is None:
+            gy = labels[y] = oracle.query(BitVector.from_integer(y, n))
+        if indicator:
+            return (gw != gy) + penalty[(w >> bit & 1) | (y >> bit & 1) << 1]
+        return coupled_value(gw, gy, (w >> bit) & 1, (y >> bit) & 1, n, signal)
 
     return energy
 

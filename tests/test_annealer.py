@@ -208,6 +208,59 @@ class TestAnnealBlackBox:
         assert len(result.best_assignment) == 6
         assert result.best_energy == 0
 
+    def test_energy_ties_go_to_least_bit_sequence(self):
+        # A flat objective keeps each restart at its start: 7, 47, 33 and 31.
+        # 33 = (1,0,0,0,0,1) is the least bit sequence, 7 = (1,1,1,0,0,0)
+        # the least integer.
+        sched = AnnealSchedule(sweeps=5, t_initial=1.0, t_final=0.5, restarts=4)
+        result = anneal_black_box(lambda s: 0, 6, sched, seed=0)
+        assert result.best_assignment.to_integer() == 33
+
+    def test_start_state_at_target_stops_after_one_flip_attempt(self):
+        seen = []
+
+        def energy(s):
+            assert isinstance(s, BitVector) and len(s) == 6
+            seen.append(s.to_integer())
+            return 0
+
+        sched = AnnealSchedule(sweeps=5, t_initial=1.0, t_final=0.5, restarts=2)
+        result = anneal_black_box(energy, 6, sched, seed=4, target_energy=0.0)
+        assert result.restarts_used == 1
+        assert result.energy_evaluations == len(seen) == 2
+        assert result.best_assignment.to_integer() == 63
+
+    def test_popcount_trajectory(self):
+        # Recorded with the earlier bit-list implementation of the loop.
+        def energy(s):
+            assert isinstance(s, BitVector) and len(s) == 16
+            return -s.popcount()
+
+        sched = AnnealSchedule(sweeps=5, t_initial=10.0, t_final=1.0, restarts=2)
+        result = anneal_black_box(energy, 16, sched, seed=3, record_trajectory=True)
+        assert result.trajectory == (-11.0, -11.0, -12.0, -12.0, -13.0, -13.0, -13.0, -13.0, -14.0, -14.0)
+        assert result.best_assignment.to_integer() == 61311
+        assert result.best_energy == -14
+        assert (result.restarts_used, result.energy_evaluations) == (2, 162)
+
+    def test_infinite_energies(self):
+        # inf - inf is NaN, and a NaN cost is rejected: on an objective that
+        # is inf everywhere the state never leaves its start, and the run
+        # still returns that start (it used to raise TypeError).
+        seen = []
+
+        def energy(s):
+            seen.append(s.to_integer())
+            return math.inf
+
+        sched = AnnealSchedule(sweeps=4, t_initial=1.0, t_final=0.5, restarts=2)
+        result = anneal_black_box(energy, 5, sched, seed=2)
+        starts = {seen[0], seen[1 + 4 * 5]}
+        assert all(min((v ^ s).bit_count() for s in starts) <= 1 for v in seen)
+        assert result.best_energy == math.inf
+        assert result.best_assignment.to_integer() in starts
+        assert result.energy_evaluations == len(seen) == 2 * (1 + 4 * 5)
+
     def test_target_energy_stops_early(self):
         model = build_bv_qubo_from_bits([1] * 8)
         sched = AnnealSchedule(sweeps=200, t_initial=0.05, t_final=0.01, restarts=4)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hiddenstring.model import (
     EXHAUSTIVE_CAP,
@@ -100,6 +101,82 @@ class TestBitVector:
 
     def test_hashable(self):
         assert len({BitVector([0, 1]), BitVector([0, 1]), BitVector([1, 0])}) == 2
+
+
+@st.composite
+def bit_vectors(draw, max_bits=40):
+    """(value, n) with value < 2**n, biased toward the edges of the range."""
+    n = draw(st.integers(0, max_bits))
+    value = draw(st.one_of(
+        st.integers(0, (1 << n) - 1),
+        st.sampled_from(sorted({0, (1 << n) - 1, (1 << n) >> 1})),
+    ))
+    return value, n
+
+
+def reference_bits(value, n):
+    """Plain tuple of the LSB-first bits, independent of BitVector."""
+    return tuple(int(c) for c in reversed(format(value, "b").zfill(n))) if n else ()
+
+
+BITVECTOR_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+class TestBitVectorAgainstTuple:
+    """The integer-backed BitVector behaves as the tuple of its bits."""
+
+    @BITVECTOR_SETTINGS
+    @given(bit_vectors(), st.integers(-45, 45), st.slices(45))
+    def test_bits_length_and_indexing(self, vn, k, sl):
+        value, n = vn
+        ref = reference_bits(value, n)
+        bv = BitVector.from_integer(value, n)
+        assert bv.bits == ref
+        assert len(bv) == n
+        assert int(bv.to_integer()) == value
+        assert bv[sl] == ref[sl]
+        if -n <= k < n:
+            assert bv[k] == ref[k]
+        else:
+            with pytest.raises(IndexError):
+                bv[k]
+
+    @BITVECTOR_SETTINGS
+    @given(bit_vectors(), bit_vectors())
+    def test_iteration_equality_and_hash(self, vn, other):
+        bv, ob = BitVector.from_integer(*vn), BitVector.from_integer(*other)
+        ref, oref = reference_bits(*vn), reference_bits(*other)
+        assert tuple(iter(bv)) == ref
+        assert list(bv) == list(ref)
+        assert (bv == ob) == (ref == oref)
+        assert (bv != ob) == (ref != oref)
+        assert bv == BitVector(ref)
+        assert hash(bv) == hash(ref)
+        assert bv != ref  # a BitVector never equals a plain tuple
+
+    @BITVECTOR_SETTINGS
+    @given(bit_vectors(), bit_vectors())
+    def test_xor_and_repr(self, vn, other):
+        value, n = vn
+        bv = BitVector.from_integer(value, n)
+        ref = reference_bits(value, n)
+        assert repr(bv) == f"BitVector({''.join(map(str, reversed(ref)))}={value}, n={n})"
+        ob = BitVector.from_integer(*other)
+        if other[1] == n:
+            x = bv ^ ob
+            assert x.bits == tuple(a ^ b for a, b in zip(ref, reference_bits(*other)))
+            assert x.to_integer() == value ^ other[0]
+        else:
+            with pytest.raises(ValueError, match="length mismatch"):
+                bv ^ ob
+
+    @BITVECTOR_SETTINGS
+    @given(st.integers(0, 40), st.integers(1, 1 << 50))
+    def test_from_integer_rejects_out_of_range(self, n, excess):
+        with pytest.raises(ValueError, match="non-negative"):
+            BitVector.from_integer(-excess, n)
+        with pytest.raises(ValueError, match="does not fit"):
+            BitVector.from_integer((1 << n) - 1 + excess, n)
 
 
 class TestVarLabel:
