@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import sys
@@ -173,7 +174,10 @@ def _parse_n(text: str) -> int | list[int]:
         )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args returns a fresh namespace on every
+    # call, so nothing carries over from one main() call to the next.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=str, help="JSON file of defaults for any flag")
     common.add_argument("--problem", choices=_PROBLEMS)

@@ -1,19 +1,31 @@
 """Command-line interface: subcommands, exit codes, config merging."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from hiddenstring.builders import build_bv_qubo_from_bits, build_simon_literal_qubo
-from hiddenstring.cli import RunConfig, main
+from hiddenstring.cli import RunConfig, _build_parser, main
 from hiddenstring.model import BitVector
 from hiddenstring.qubofile import export_qubo, model_to_dict
+
+
+# Exact spectrum outputs; see the file's "about" field.
+SPECTRUM_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "spectrum_golden.json").read_text()
+)["cases"]
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def dumped(payload):
+    """The bytes the CLI writes for a JSON payload."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 class TestBuild:
@@ -220,6 +232,44 @@ class TestSpectrum:
         code, out, _ = run(capsys, "spectrum", "--in", str(path))
         assert code == 0
         assert json.loads(out)["ground_energy"] == "-2"
+
+
+class TestSpectrumGolden:
+    @pytest.mark.parametrize("case", SPECTRUM_GOLDEN, ids=lambda case: case["name"])
+    def test_output_is_byte_identical(self, capsys, tmp_path, case):
+        flags = case.get("argv")
+        if flags is None:
+            path = tmp_path / "model.qubo"
+            path.write_text(case["qubo"], encoding="ascii")
+            flags = ["--in", str(path)]
+        payload, top = case["payload"], case["top"]
+        assert run(capsys, "spectrum", *flags) == (0, dumped(payload), "")
+        expected_top = dumped(dict(payload, entries=payload["entries"][:top]))
+        assert run(capsys, "spectrum", *flags, "--top", str(top)) == (0, expected_top, "")
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_top_does_not_carry_over(self, capsys):
+        args = ("spectrum", "--problem", "bv", "--n", "4", "--a", "6")
+        code, topped, _ = run(capsys, *args, "--top", "2")
+        assert code == 0 and len(json.loads(topped)["entries"]) == 2
+        code, full, _ = run(capsys, *args)
+        assert code == 0
+        payload = json.loads(full)
+        assert len(payload["entries"]) == 16
+        assert dict(payload, entries=payload["entries"][:2]) == json.loads(topped)
+
+    def test_usage_error_does_not_break_the_next_call(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--problem", "bv", "--n", "3", "--bogus")
+        assert code == 2 and out == ""
+        assert "--bogus" in err
+        code, out, _ = run(capsys, "spectrum", "--problem", "bv", "--n", "3", "--a", "5")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["entries"][0] == [5, "-2"] and len(payload["entries"]) == 8
 
 
 class TestExportImport:

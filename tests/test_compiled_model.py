@@ -1,9 +1,11 @@
 """Property tests: the integer-compiled model against the exact Fraction forms."""
 
 import dataclasses
+import operator
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from hiddenstring import annealer
@@ -41,6 +43,47 @@ def diagonal_models(draw, max_vars=10):
     return QuboModel(labels, linear)
 
 
+# Coefficient magnitudes per sort-key dtype. With at least one nonzero bias
+# and at most 8 variables (36 coefficients), every span lands in the range
+# of its key dtype: 1..252, 256..65 520, 65 536..2^32 - 1, 2^32..2^63 - 1
+# (int64 table) and at least 2^64 (object table and keys).
+KEY_MAGNITUDES = {
+    "uint8": (1, 7),
+    "uint16": (256, 1820),
+    "uint32": (2**16, 2**26),
+    "uint64": (2**32, 2**56),
+    "object": (2**64, 2**70),
+}
+
+
+@st.composite
+def models_by_key_dtype(draw):
+    """A drawn key dtype and a model whose energy span needs exactly that dtype.
+
+    The "span 0" case is a model with no coefficients, from 0 to 8 variables.
+    """
+    key = draw(st.sampled_from(["span 0", *KEY_MAGNITUDES]))
+    if key == "span 0":
+        n = draw(st.integers(0, 8))
+        return key, QuboModel(tuple(VarLabel.plain(i) for i in range(n)))
+    lo, hi = KEY_MAGNITUDES[key]
+    coefficient = st.builds(operator.mul, st.sampled_from([-1, 1]), st.integers(lo, hi))
+    n = draw(st.integers(1, 8))
+    labels = tuple(VarLabel.plain(i) for i in range(n))
+    linear = {labels[0]: draw(coefficient)}
+    linear.update({lab: draw(coefficient) for lab in labels[1:] if draw(st.booleans())})
+    pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)]
+    quadratic = {pair: draw(coefficient) for pair in pairs if draw(st.booleans())}
+    return key, QuboModel(labels, linear, quadratic)
+
+
+def reference_entries(model):
+    """Every (assignment, energy), sorted by energy, then by assignment integer."""
+    n = model.n_vars
+    energy = {v: qubo_energy(model, BitVector.from_integer(v, n)) for v in range(1 << n)}
+    return [(v, energy[v]) for v in sorted(energy, key=lambda v: (energy[v], v))]
+
+
 def fraction_t_initial(model):
     """The starting temperature computed in Fractions, label by label."""
     strength = {lab: abs(h) for lab, h in model.linear.items()}
@@ -67,6 +110,46 @@ def test_compiled_energies_over_den_equal_qubo_energy(model):
                                                           if s[i] and s[j])
         assert Fraction(summed, den) == exact
         assert Fraction(int(energies[v]), den) == exact
+
+
+@SETTINGS
+@given(models(), st.sampled_from([2**61, 2**64, 3**45]))
+def test_table_past_int64_equals_den_times_qubo_energy(model, scale):
+    big = QuboModel(
+        model.labels,
+        {lab: c * scale for lab, c in model.linear.items()},
+        {pair: c * scale for pair, c in model.quadratic.items()},
+    )
+    n = big.n_vars
+    energies, den = _scaled_energy_table(big)
+    _den, h, couplers = _compile(big)
+    assert energies.dtype == (np.int64 if _fits_int64(h, couplers) else object)
+    for v in range(1 << n):
+        assert energies[v] == den * qubo_energy(big, BitVector.from_integer(v, n))
+
+
+@SETTINGS
+@given(models())
+def test_spectrum_order_is_energy_then_integer(model):
+    spectrum = exhaustive_solve(model)
+    reference = reference_entries(model)
+    assert [(s.to_integer(), e) for s, e in spectrum.iter_entries()] == reference
+    assert spectrum.ground_count == sum(e == reference[0][1] for _v, e in reference)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(models_by_key_dtype())
+def test_spectrum_order_for_every_key_dtype(drawn):
+    key, model = drawn
+    reference = reference_entries(model)
+    ground = reference[0][1]
+    span = int((reference[-1][1] - ground) * _compile(model)[0])
+    assert (span == 0) if key == "span 0" else (np.min_scalar_type(span).name == key)
+    spectrum = exhaustive_solve(model)
+    assert [(s.to_integer(), e) for s, e in spectrum.iter_entries()] == reference
+    assert spectrum.ground_states() == [
+        BitVector.from_integer(v, model.n_vars) for v, e in reference if e == ground
+    ]
 
 
 @SETTINGS
