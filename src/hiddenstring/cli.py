@@ -22,19 +22,16 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .annealer import AnnealSchedule, _seeded_rng
-from .builders import build_bv_qubo_from_bits, build_simon_literal_qubo
+from .builders import SIGNALS, build_bv_qubo_from_bits, build_simon_literal_qubo
 from .model import BitVector, QuboModel, exhaustive_solve
 from .oracles import BvOracle, SimonOracle, random_hidden_string
-from .protocol import bench_calls, solve_bv, solve_simon, _spawn_seed
+from .protocol import (
+    _J_POLICIES, _MODES, _PROBLEMS, _SOLVERS, bench_calls, solve_bv, solve_simon, _spawn_seed,
+)
 from .qubofile import QuboFormatError, export_qubo, import_qubo, model_from_dict, model_to_dict
 
 __all__ = ["RunConfig", "main", "entry_point"]
 
-_PROBLEMS = ("bv", "simon")
-_MODES = ("coupled", "literal")
-_J_POLICIES = ("cycle", "fixed")
-_SOLVERS = ("anneal", "exhaustive")
-_SIGNALS = ("indicator", "hamming")
 _FORMATS = ("json", "qubo")
 
 
@@ -65,7 +62,6 @@ class RunConfig:
     out: str | None = None
     blind: bool = False
     trials: int = 50
-    workers: int = 1
 
     def to_dict(self) -> dict[str, Any]:
         return dataclasses.asdict(self)
@@ -112,21 +108,20 @@ class RunConfig:
                     raise ValueError("simon needs a nonzero hidden string")
         elif self.a is not None and self.a != "random":
             raise ValueError(f"--a must be an integer or 'random', got {self.a!r}")
-        if self.solver not in _SOLVERS:
-            raise ValueError(f"--solver must be one of {_SOLVERS}")
-        if self.mode not in _MODES:
-            raise ValueError(f"--mode must be one of {_MODES}")
-        if self.j_policy not in _J_POLICIES:
-            raise ValueError(f"--j-policy must be one of {_J_POLICIES}")
-        if self.signal not in _SIGNALS:
-            raise ValueError(f"--signal must be one of {_SIGNALS}")
-        if self.format not in _FORMATS:
-            raise ValueError(f"--format must be one of {_FORMATS}")
+        for flag, value, choices in (
+            ("--solver", self.solver, _SOLVERS),
+            ("--mode", self.mode, _MODES),
+            ("--j-policy", self.j_policy, _J_POLICIES),
+            ("--signal", self.signal, SIGNALS),
+            ("--format", self.format, _FORMATS),
+        ):
+            if value not in choices:
+                raise ValueError(f"{flag} must be one of {choices}")
         if self.j is not None:
             for n in ns:
                 if not 1 <= self.j <= n:
                     raise ValueError(f"--j must be in 1..{n}, got {self.j}")
-        for name in ("budget", "sweeps", "restarts", "trials", "workers"):
+        for name in ("budget", "sweeps", "restarts", "trials"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"--{name} must be positive, got {value}")
@@ -188,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--mode", choices=_MODES)
     common.add_argument("--j", type=int, help="constrained coordinate (1-based)")
     common.add_argument("--j-policy", dest="j_policy", choices=_J_POLICIES)
-    common.add_argument("--signal", choices=_SIGNALS)
+    common.add_argument("--signal", choices=SIGNALS)
     common.add_argument("--budget", type=int, help="max solver calls per run")
     common.add_argument("--sweeps", type=int)
     common.add_argument("--restarts", type=int)
@@ -208,7 +203,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("solve", parents=[common], help="run a solve, emit a JSON report")
     bench = sub.add_parser("bench", parents=[common], help="emit call statistics")
     bench.add_argument("--trials", type=int)
-    bench.add_argument("--workers", type=int)
     spectrum = sub.add_parser("spectrum", parents=[common], help="emit the sorted spectrum")
     spectrum.add_argument("--in", dest="infile", type=str, help="read model from file")
     spectrum.add_argument("--top", type=int, help="emit only the lowest entries")
@@ -319,7 +313,6 @@ def _cmd_bench(cfg: RunConfig, args: argparse.Namespace) -> int:
             [n],
             cfg.trials,
             seed=cfg.seed,
-            workers=cfg.workers,
             solver=cfg.solver,
             mode=cfg.mode,
             j_policy=cfg.j_policy,

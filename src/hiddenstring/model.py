@@ -488,14 +488,11 @@ class Spectrum:
         return [BitVector.from_integer(int(v), n) for v in self._order[: self.ground_count]]
 
     def iter_entries(self) -> Iterator[tuple[BitVector, Fraction]]:
+        """(assignment, exact energy) pairs in spectrum order, built lazily."""
         n = self.n_vars
         den = self._denominator
         for v, e in zip(self._order, self._scaled):
             yield BitVector.from_integer(int(v), n), Fraction(int(e), den)
-
-    @property
-    def entries(self) -> list[tuple[BitVector, Fraction]]:
-        return list(self.iter_entries())
 
     def __len__(self) -> int:
         return len(self._order)

@@ -13,8 +13,6 @@ cosets ``{w, w XOR a}`` onto the (n-1)-bit values.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from .model import BitVector
@@ -46,23 +44,6 @@ def random_hidden_string(n: int, rng: np.random.Generator, *, nonzero: bool = Fa
             return BitVector(bits)
 
 
-class _QueryCounter:
-    """Thread-safe monotone counter shared by both oracle types."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._count = 0
-
-    def increment(self) -> None:
-        with self._lock:
-            self._count += 1
-
-    @property
-    def value(self) -> int:
-        with self._lock:
-            return self._count
-
-
 class BvOracle:
     """Parity oracle: query with w, receive the parity of ``w AND a``."""
 
@@ -70,7 +51,7 @@ class BvOracle:
         if not isinstance(a, BitVector):
             a = BitVector(a)
         self._a = a
-        self._counter = _QueryCounter()
+        self._queries = 0
 
     @property
     def n(self) -> int:
@@ -78,13 +59,13 @@ class BvOracle:
 
     @property
     def queries(self) -> int:
-        return self._counter.value
+        return self._queries
 
     def query(self, w: BitVector) -> int:
         """Parity of the bitwise AND of w and the hidden string; counts one query."""
         if len(w) != self.n:
             raise ValueError(f"query has {len(w)} bits, oracle expects {self.n}")
-        self._counter.increment()
+        self._queries += 1
         return (w.to_integer() & self._a.to_integer()).bit_count() & 1
 
     def reveal_hidden_string(self) -> BitVector:
@@ -113,7 +94,7 @@ class SimonOracle:
             raise ValueError("the hidden string of a 2-to-1 oracle must be nonzero")
         self._a = a
         self._seed = int(seed)
-        self._counter = _QueryCounter()
+        self._queries = 0
         self._table = self._build_table(n, a.to_integer(), self._seed)
 
     @staticmethod
@@ -139,13 +120,13 @@ class SimonOracle:
 
     @property
     def queries(self) -> int:
-        return self._counter.value
+        return self._queries
 
     def query(self, w: BitVector) -> int:
         """The (n-1)-bit label of w's coset; counts one query."""
         if len(w) != self.n:
             raise ValueError(f"query has {len(w)} bits, oracle expects {self.n}")
-        self._counter.increment()
+        self._queries += 1
         return int(self._table[w.to_integer()])
 
     def count_collision_pairs(self) -> int:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Sequence
@@ -52,6 +51,12 @@ __all__ = [
 BV_PROBES = 16
 MIN_VERIFY_PROBES = 4
 _VERIFY_PROBES = 16
+
+# The option values the protocols accept; the CLI offers exactly these.
+_PROBLEMS = ("bv", "simon")
+_SOLVERS = ("anneal", "exhaustive")
+_MODES = ("coupled", "literal")
+_J_POLICIES = ("cycle", "fixed")
 
 
 @dataclass(frozen=True)
@@ -177,7 +182,7 @@ def solve_bv(
     against the oracle on BV_PROBES random inputs. Total oracle cost is
     exactly ``n + BV_PROBES`` queries on every run, success or not.
     """
-    if solver not in ("anneal", "exhaustive"):
+    if solver not in _SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
     start = time.perf_counter()
     n = oracle.n
@@ -312,21 +317,25 @@ def solve_simon(
     memoized within the call); mode="literal" anneals the explicit
     constraint model. Either way a returned pair with w != y then costs
     two queries to check whether it actually collides.
+
+    Every argument is checked before the first oracle query.
     """
-    if mode not in ("coupled", "literal"):
+    n = oracle.n
+    if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if j_policy not in ("cycle", "fixed"):
+    if j_policy not in _J_POLICIES:
         raise ValueError(f"unknown j policy {j_policy!r}")
     if mode == "coupled" and signal not in SIGNALS:
         raise ValueError(f"signal must be one of {SIGNALS}, got {signal!r}")
     if j_policy == "fixed":
         if j is None:
             raise ValueError("fixed j policy needs an explicit j")
+        if not 1 <= j <= n:
+            raise ValueError(f"j must be in 1..{n}, got {j}")
     elif j is not None:
         raise ValueError("explicit j only makes sense with the fixed policy")
 
     start = time.perf_counter()
-    n = oracle.n
     if budget is None:
         budget = 64 * n
     if budget < 1:
@@ -417,7 +426,7 @@ def _bench_one(
     trial: int,
     seed: int,
     options: dict[str, Any],
-) -> tuple[int, int, ExperimentReport]:
+) -> ExperimentReport:
     rng = _seeded_rng(seed, n, trial, 0)
     run_seed = _spawn_seed((seed, n, trial, 1))
     if problem == "bv":
@@ -442,7 +451,7 @@ def _bench_one(
             schedule=options["schedule"],
             seed=run_seed,
         )
-    return n, trial, report
+    return report
 
 
 def bench_calls(
@@ -451,7 +460,6 @@ def bench_calls(
     trials: int = 50,
     *,
     seed: int = 0,
-    workers: int = 1,
     solver: str = "anneal",
     mode: str = "coupled",
     j_policy: str = "cycle",
@@ -463,11 +471,12 @@ def bench_calls(
     """Measure solver-call and oracle-query statistics across problem sizes.
 
     Runs ``trials`` independently seeded instances per n and aggregates one
-    row per n: success and correctness counts plus mean/median/population
-    stdev of the call and query counters over all trials. Rows and counters
-    are deterministic in ``seed`` regardless of ``workers``.
+    row per entry of ``n_values``: success and correctness counts plus
+    mean/median/population stdev of the call and query counters over its
+    trials. Each row is seeded by (seed, n, trial) alone, so it does not
+    depend on the other entries.
     """
-    if problem not in ("bv", "simon"):
+    if problem not in _PROBLEMS:
         raise ValueError(f"unknown problem {problem!r}")
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -480,22 +489,9 @@ def bench_calls(
         "signal": signal,
         "schedule": schedule,
     }
-    jobs = [(n, t) for n in n_values for t in range(trials)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda nt: _bench_one(problem, nt[0], nt[1], seed, options), jobs)
-            )
-    else:
-        results = [_bench_one(problem, n, t, seed, options) for n, t in jobs]
-
-    by_n: dict[int, list[ExperimentReport]] = {int(n): [] for n in n_values}
-    for n, trial, report in sorted(results, key=lambda r: (r[0], r[1])):
-        by_n[n].append(report)
-
     rows = []
     for n in n_values:
-        reports = by_n[int(n)]
+        reports = [_bench_one(problem, n, t, seed, options) for t in range(trials)]
         calls = [r.aqc_calls for r in reports]
         queries = [r.oracle_queries for r in reports]
         correct = sum(

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, exit codes, config merging."""
 
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,8 @@ from hiddenstring.qubofile import export_qubo, model_to_dict
 SPECTRUM_GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "spectrum_golden.json").read_text()
 )["cases"]
+
+README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
 
 
 def run(capsys, *argv):
@@ -155,6 +159,14 @@ class TestValidation:
 
     def test_n_list_only_for_bench(self, capsys):
         assert run(capsys, "solve", "--problem", "bv", "--n", "4,6", "--a", "1")[0] == 2
+
+    def test_workers_flag_is_gone(self, capsys):
+        code, out, err = run(
+            capsys, "bench", "--problem", "bv", "--n", "4", "--trials", "1",
+            "--workers", "2",
+        )
+        assert code == 2 and out == ""
+        assert "--workers" in err
 
 
 class TestBench:
@@ -302,13 +314,20 @@ class TestRunConfig:
             problem="simon", n=[4, 6], a="random", seed=3, solver="anneal",
             mode="literal", j=2, j_policy="fixed", signal="hamming", budget=12,
             sweeps=5, restarts=2, t0=3.0, t1=0.5, format="qubo", out="x.json",
-            blind=True, trials=7, workers=2,
+            blind=True, trials=7,
         )
         assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_rejects_unknown_fields(self):
         with pytest.raises(ValueError):
             RunConfig.from_dict({"problem": "bv", "temperature": 3})
+
+    def test_config_naming_workers_exits_two(self, capsys, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"problem": "bv", "n": 4, "workers": 2}))
+        code, out, err = run(capsys, "bench", "--config", str(cfg_path))
+        assert code == 2 and out == ""
+        assert "unknown config fields: ['workers']" in err
 
     def test_config_file_supplies_flags(self, capsys, tmp_path):
         cfg_path = tmp_path / "run.json"
@@ -327,3 +346,14 @@ class TestRunConfig:
         code, out, _ = run(capsys, "solve", "--config", str(cfg_path), "--a", "33")
         assert code == 0
         assert json.loads(out)["recovered_a"] == 33
+
+
+class TestReadmeUsage:
+    def test_every_command_line_example_runs(self, capsys, tmp_path, monkeypatch):
+        block = re.search(r"## Command line\n.*?```sh\n(.*?)```", README, re.DOTALL)
+        lines = [ln for ln in block.group(1).splitlines() if ln.startswith("hiddenstring ")]
+        assert len(lines) >= 10
+        monkeypatch.chdir(tmp_path)  # examples write model.json and model.qubo
+        for line in lines:
+            code, _, err = run(capsys, *shlex.split(line)[1:])
+            assert code == 0, f"{line!r} exited {code}: {err}"

@@ -348,7 +348,7 @@ class TestSpectrum:
             n = int(rng.integers(1, 7))
             m = random_integer_model(rng, n)
             spectrum = exhaustive_solve(m)
-            entries = spectrum.entries
+            entries = list(spectrum.iter_entries())
             assert len(entries) == 1 << n
             energies = [e for _, e in entries]
             assert energies == sorted(energies)
@@ -384,7 +384,7 @@ class TestSpectrum:
         m = QuboModel((a, b), {a: "1/2", b: "-3/4"}, {(a, b): "1/4"})
         spectrum = exhaustive_solve(m)
         assert spectrum.ground_energy == Fraction(-3, 4)
-        by_state = {s.bits: e for s, e in spectrum.entries}
+        by_state = {s.bits: e for s, e in spectrum.iter_entries()}
         assert by_state[(1, 1)] == Fraction(0)
 
     def test_refuses_oversized_models(self):

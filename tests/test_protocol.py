@@ -253,6 +253,11 @@ class TestSolveSimon:
             solve_simon(oracle, j=1)  # j without fixed policy
         with pytest.raises(ValueError):
             solve_simon(oracle, budget=0)
+        for mode in ("coupled", "literal"):
+            for j in (0, oracle.n + 1):
+                with pytest.raises(ValueError, match="j must be in"):
+                    solve_simon(oracle, mode=mode, j_policy="fixed", j=j)
+        assert oracle.queries == 0
 
 
 class TestExperimentReport:
@@ -282,10 +287,18 @@ class TestBenchCalls:
         assert rows[0]["stdev_calls"] == 0.0
         assert rows[0]["stdev_queries"] == 0.0
 
-    def test_workers_do_not_change_results(self):
-        serial = bench_calls("simon", [3, 4], trials=3, seed=5, mode="literal")
-        threaded = bench_calls("simon", [3, 4], trials=3, seed=5, mode="literal", workers=4)
-        assert serial == threaded
+    @pytest.mark.parametrize(
+        "problem, options",
+        [("bv", {"solver": "exhaustive"}), ("simon", {"mode": "literal"})],
+    )
+    def test_repeated_n_gives_its_own_row(self, problem, options):
+        rows = bench_calls(problem, [4, 6, 4], trials=2, seed=5, **options)
+        singles = [
+            row for n in (4, 6, 4)
+            for row in bench_calls(problem, [n], trials=2, seed=5, **options)
+        ]
+        assert rows == singles
+        assert all(row["success_count"] <= row["trials"] for row in rows)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
