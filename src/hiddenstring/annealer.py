@@ -14,8 +14,9 @@ local fields, flip costs and energies are exact ints; each sweep looks up
 acceptance probabilities in a table keyed by the integer cost; and an
 early-stop target is compared with the exact best energy rounded once to a
 float. On a model without couplers whose costs fit in int64 (the
-Bernstein-Vazirani model among them), a sweep is a few numpy array
-operations rather than one Python step per visit, with identical results.
+Bernstein-Vazirani model among them), a batch of sweeps, about 4 096 visits,
+is a few numpy array operations rather than one Python step per visit, with
+identical results.
 :func:`anneal_black_box` works on an opaque energy callback (used for the
 oracle-coupled search, where the objective exists only behind oracle
 queries), carries the current state's energy and prices every flip with one
@@ -43,6 +44,10 @@ __all__ = [
     "anneal",
     "anneal_black_box",
 ]
+
+# Visits per batch of coupler-free sweeps: enough to amortise numpy's
+# per-call overhead, while each batch array stays near 32 KB.
+_BATCH_VISITS = 4096
 
 
 @dataclass(frozen=True)
@@ -142,11 +147,12 @@ def anneal(
     bit sequence; its reported energy is re-evaluated exactly.
 
     A model without couplers, whose summed cost magnitudes stay below 2**63,
-    takes each sweep as a few whole-array numpy operations
-    (:func:`_diagonal_sweep`): no visit changes another variable's cost, so
-    the sweep's acceptances follow from the costs at its start. It draws the
-    same numbers and returns the same result, trajectory included, as the
-    sequential Python-int loop that every other model takes.
+    takes ``_BATCH_VISITS // n`` sweeps at a time (at least one) as a few
+    whole-array numpy operations (:func:`_diagonal_sweep`): no visit changes
+    another variable's cost, so each variable's acceptances follow from its
+    own uniforms and the sweep temperatures alone. It draws the same numbers
+    and returns the same result, trajectory included, as the sequential
+    Python-int loop that every other model takes.
 
     ``target_energy`` stops the run early once a new best energy, rounded
     to the nearest float as ``e / den``, is at most the target (used when a
@@ -167,8 +173,11 @@ def anneal(
     diagonal = not couplers and _fits_int64(h, couplers)
     if diagonal:
         h_arr = np.array(h, dtype=np.int64)
-        levels, level_of = np.unique(np.abs(h_arr), return_inverse=True)
-        levels = levels.tolist()
+        h_abs = np.abs(h_arr)
+        ground = (h_arr < 0).astype(np.int8)
+        levels, level_of = np.unique(h_abs, return_inverse=True)
+        costs = [c / den for c in levels.tolist()]  # priced as the sequential loop does
+        batch = max(1, _BATCH_VISITS // n)
 
     def reaches_target(e: int) -> bool:
         return target_energy is not None and e / den <= target_energy
@@ -196,19 +205,24 @@ def anneal(
         run_e, run_bits = energy, s.copy()
         done = reaches_target(run_e)
         if diagonal:
-            state = start.astype(np.int8)
-            cost = np.where(state == 0, h_arr, -h_arr)
-
-        for sweep in range(schedule.sweeps):
-            if done:
-                break
-            t = schedule.temperature(sweep)
-            if diagonal:
-                probs = np.array([exp(-(c / den) / t) for c in levels])
-                energy, run_e, run_bits, visits, done = _diagonal_sweep(
-                    rng, state, cost, probs[level_of], energy, run_e, run_bits, reaches_target)
+            excited = start.astype(np.int8) ^ ground
+            for first in range(0, schedule.sweeps, batch):
+                if done:
+                    break
+                temps = map(schedule.temperature,
+                            range(first, min(first + batch, schedule.sweeps)))
+                probs = np.array([exp(-c / t) for t in temps for c in costs])
+                energy, run_e, run_bits, visits, done, sweep_bests = _diagonal_sweep(
+                    rng, excited, ground, h_abs, probs.reshape(-1, len(costs)).take(level_of, 1),
+                    energy, run_e, run_bits, reaches_target)
                 attempts += visits
-            else:
+                if trajectory is not None:
+                    trajectory.extend(min(best_e, e) / den for e in sweep_bests)
+        else:
+            for sweep in range(schedule.sweeps):
+                if done:
+                    break
+                t = schedule.temperature(sweep)
                 accept: dict[int, float] = {}
                 order = rng.permutation(n).tolist()
                 uniforms = rng.random(n).tolist()
@@ -231,8 +245,8 @@ def anneal(
                         if reaches_target(run_e):
                             done = True
                             break
-            if trajectory is not None:
-                trajectory.append(min(best_e, run_e) / den)
+                if trajectory is not None:
+                    trajectory.append(min(best_e, run_e) / den)
         # Merge this restart's best; ties go to the smallest bit sequence
         # so the outcome is independent of restart ordering.
         if run_e < best_e or (run_e == best_e and run_bits < best_bits):
@@ -253,52 +267,88 @@ def anneal(
 
 def _diagonal_sweep(
     rng: np.random.Generator,
-    state: np.ndarray,
-    cost: np.ndarray,
+    excited: np.ndarray,
+    ground: np.ndarray,
+    h_abs: np.ndarray,
     p: np.ndarray,
     energy: int,
     run_e: int,
     run_bits: list[int],
     reaches_target: Callable[[int], bool],
-) -> tuple[int, int, list[int], int, bool]:
-    """One Metropolis sweep over a coupler-free model, in int64 numpy arrays.
+) -> tuple[int, int, list[int], int, bool, list[int]]:
+    """A batch of Metropolis sweeps over a coupler-free model, in numpy arrays.
 
-    ``state`` (int8) and ``cost`` (int64 flip costs) are updated in place;
-    ``p[i]`` is the acceptance probability of variable i's cost |cost[i]|.
-    The draws are the sequential loop's: a visit order, then one uniform
-    per visit. Accepting a visit depends only on its own cost and uniform,
-    so the accepted costs, summed in visit order, give the energy after
-    every visit. The strict running minima below ``run_e`` are the loop's
-    new best states; they are walked in order so that the exact target
-    check stops at the same visit. Returns the updated ``(energy, run_e,
-    run_bits, visits, done)``.
+    Runs ``len(p)`` sweeps; ``p[m, i]`` is the acceptance probability of
+    variable i's cost |h_i| in sweep m. ``excited`` (int8) marks the
+    variables whose bit is not ``ground``, the bit that takes the lower
+    energy of their bias, and is updated in place.
+
+    The draws are the sequential loop's: each sweep draws a visit order, then
+    one uniform per visit. All of the batch's sweeps are drawn up front; a
+    run that stops early leaves some unused, which is harmless because each
+    restart's generator is discarded when the restart ends.
+
+    A visit to an excited variable is always accepted (its flip lowers the
+    energy) and leaves it relaxed; a visit to a relaxed one is accepted when
+    its uniform is below p and excites it. Hence ``excited[m + 1] =
+    ~excited[m] & (u[m] < p[m])``: a variable is excited after sweep m
+    exactly when an odd number of sweeps passed since its last rejection,
+    found for every sweep at once with a running maximum. A variable with
+    zero cost has p = 1 and accepts every visit. The accepted costs,
+    summed in visit order over the whole batch, give the energy after every
+    visit. The strict running minima below ``run_e`` are the loop's new best
+    states; they are walked in order so that the exact target check stops
+    at the same visit, and the best bits are the state at the start of that
+    sweep with the visited head of its order moved on one sweep. Returns the
+    updated ``(energy, run_e, run_bits, visits, done)`` and ``run_e`` after
+    each sweep that ran.
     """
-    n = len(state)
-    order = rng.permutation(n)
-    uniforms = np.empty(n)
-    uniforms[order] = rng.random(n)
-    acc = (uniforms < p) | (cost <= 0)
-    # Energy after each visit, less the energy at the start of the sweep.
-    path = (cost * acc)[order].cumsum()
-    lowest = np.minimum.accumulate(path)
-    visits, done = n, False
-    if lowest[-1] < run_e - energy:
-        new_low = np.empty(n, dtype=bool)
+    k, n = p.shape
+    # Shuffling a row of arange(n) in place draws what rng.permutation(n) draws.
+    orders = np.tile(np.arange(n), (k, 1))
+    draws = np.empty((k, n))
+    for order, uniforms in zip(orders, draws):
+        rng.shuffle(order)
+        rng.random(out=uniforms)
+    # Indices into a flattened k x n array, in visit order.
+    visit = orders + np.arange(0, k * n, n)[:, None]
+    u = np.empty(k * n)
+    u[visit] = draws
+    sweeps = np.arange(k)[:, None]
+    # A relaxed start acts as a rejection at sweep -1, an excited one at -2.
+    last = np.where(u.reshape(k, n) < p, -1 - excited, sweeps)
+    np.maximum.accumulate(last, axis=0, out=last)
+    # states[m] marks the variables excited at the start of sweep m.
+    states = np.empty((k + 1, n), dtype=np.int8)
+    states[0] = excited
+    states[1:] = (sweeps - last) & 1
+    # Energy after each visit, less the energy at the start of the batch.
+    path = ((states[1:] - states[:-1]) * h_abs).ravel()[visit].ravel().cumsum()
+    # The running minimum at the end of each sweep; most batches find no new
+    # best, and only those that do pay for the running minimum of every visit.
+    ends = np.minimum.accumulate(path.reshape(k, n).min(axis=1))
+    below = run_e - energy
+    visits, done = k * n, False
+    if ends[-1] < below:
+        lowest = np.minimum.accumulate(path)
+        new_low = np.empty(k * n, dtype=bool)
         new_low[0] = True
         np.less(path[1:], lowest[:-1], out=new_low[1:])
-        new_low &= path < run_e - energy
-        for k in np.flatnonzero(new_low).tolist():
-            run_e, best = energy + int(path[k]), k
+        new_low &= path < below
+        for b in np.flatnonzero(new_low).tolist():
+            run_e, best = energy + int(path[b]), b
             if reaches_target(run_e):
-                visits, done = k + 1, True
+                visits, done = b + 1, True
                 break
-        bits = state.copy()
-        head = order[: best + 1]
-        bits[head] ^= acc[head]
-        run_bits = bits.tolist()
-    state ^= acc
-    np.negative(cost, out=cost, where=acc)
-    return energy + int(path[visits - 1]), run_e, run_bits, visits, done
+        m, v = divmod(best, n)
+        bits = states[m].copy()
+        head = orders[m, : v + 1]
+        bits[head] = states[m + 1, head]
+        run_bits = (bits ^ ground).tolist()
+    excited[:] = states[k]
+    sweep_bests = np.minimum(ends[: (visits - 1) // n], below) + energy
+    return (energy + int(path[visits - 1]), run_e, run_bits, visits, done,
+            sweep_bests.tolist() + [run_e])
 
 
 def anneal_black_box(

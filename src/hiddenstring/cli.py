@@ -93,6 +93,8 @@ class RunConfig:
             if self.n is None:
                 raise ValueError("--n is required")
         ns = self.n_list() if self.n is not None else []
+        if self.n is not None and not ns:
+            raise ValueError("--n needs at least one value")
         for n in ns:
             if n < 1:
                 raise ValueError(f"n must be positive, got {n}")
@@ -117,6 +119,8 @@ class RunConfig:
         ):
             if value not in choices:
                 raise ValueError(f"{flag} must be one of {choices}")
+        if command in ("solve", "bench") and self.problem == "simon" and self.solver != "anneal":
+            raise ValueError(f"--solver {self.solver} applies only to --problem bv")
         if self.j is not None:
             for n in ns:
                 if not 1 <= self.j <= n:

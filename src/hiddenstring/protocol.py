@@ -480,6 +480,10 @@ def bench_calls(
         raise ValueError(f"unknown problem {problem!r}")
     if trials < 1:
         raise ValueError("trials must be positive")
+    if solver not in _SOLVERS:
+        raise ValueError(f"unknown solver {solver!r}")
+    if problem == "simon" and solver != "anneal":
+        raise ValueError(f"solver {solver!r} applies only to problem 'bv'")
     options = {
         "solver": solver,
         "mode": mode,

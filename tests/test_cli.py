@@ -160,6 +160,20 @@ class TestValidation:
     def test_n_list_only_for_bench(self, capsys):
         assert run(capsys, "solve", "--problem", "bv", "--n", "4,6", "--a", "1")[0] == 2
 
+    @pytest.mark.parametrize("n", [",", ",,"])
+    def test_empty_n_list(self, capsys, n):
+        code, out, err = run(capsys, "bench", "--problem", "bv", "--n", n, "--trials", "1")
+        assert code == 2 and out == ""
+        assert "--n needs at least one value" in err
+
+    @pytest.mark.parametrize("command", [["solve"], ["bench", "--trials", "1"]])
+    def test_solver_applies_only_to_bv(self, capsys, command):
+        code, out, err = run(
+            capsys, *command, "--problem", "simon", "--n", "3", "--solver", "exhaustive",
+        )
+        assert code == 2 and out == ""
+        assert "--solver exhaustive applies only to --problem bv" in err
+
     def test_workers_flag_is_gone(self, capsys):
         code, out, err = run(
             capsys, "bench", "--problem", "bv", "--n", "4", "--trials", "1",

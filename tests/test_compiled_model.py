@@ -6,6 +6,7 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hiddenstring import annealer
@@ -189,6 +190,86 @@ def test_coupler_free_sweeps_repeat_the_sequential_loop(model, seed, targeted):
     with mock.patch.object(annealer, "_fits_int64", return_value=False):
         sequential = anneal(model, sched, **kwargs)
     assert fast == sequential
+
+
+def coupler_free(biases):
+    labels = tuple(VarLabel.plain(i) for i in range(len(biases)))
+    return QuboModel(labels, dict(zip(labels, biases)))
+
+
+COUPLER_FREE = {
+    "mixed": coupler_free([3, -2, 0, 5, -5, 1, -1, 4, 0, -3, 2]),
+    "zero-bias": coupler_free([0] * 7),
+    "decimal": coupler_free([Fraction(3, 10), Fraction(-7, 4), Fraction(1, 3),
+                             Fraction(-1, 12), Fraction(5, 2), Fraction(-9, 5)]),
+}
+BATCH_VISITS = {
+    "1": lambda n: 1,
+    "n-1": lambda n: n - 1,
+    "n": lambda n: n,
+    "n+1": lambda n: n + 1,
+    "3n+1": lambda n: 3 * n + 1,
+    "10**6": lambda n: 10**6,
+}
+
+
+def ground_target(model):
+    return float(exhaustive_solve(model).ground_energy)
+
+
+def batched_and_sequential(model, sched, batch_visits, **kwargs):
+    with mock.patch.object(annealer, "_BATCH_VISITS", batch_visits):
+        batched = anneal(model, sched, record_trajectory=True, **kwargs)
+    with mock.patch.object(annealer, "_fits_int64", return_value=False):
+        sequential = anneal(model, sched, record_trajectory=True, **kwargs)
+    return batched, sequential
+
+
+@pytest.mark.parametrize("above_ground", [None, 0, 1, 2],
+                         ids=["untargeted", "ground", "ground+1", "ground+2"])
+@pytest.mark.parametrize("visits", BATCH_VISITS)
+@pytest.mark.parametrize("name", COUPLER_FREE)
+def test_batch_size_does_not_change_the_anneal(name, visits, above_ground):
+    model = COUPLER_FREE[name]
+    sched = AnnealSchedule(sweeps=23, t_initial=default_schedule(model).t_initial,
+                           t_final=0.05, restarts=3)
+    target = None if above_ground is None else ground_target(model) + above_ground
+    # With seed 8, some loose targets are met before a lower state later in
+    # the same sweep, which pins the stopping sweep's trajectory value.
+    batched, sequential = batched_and_sequential(
+        model, sched, BATCH_VISITS[visits](model.n_vars), seed=8, target_energy=target)
+    assert batched == sequential
+
+
+def stop_visit(model, sched, seed):
+    """(sweep, visit), both 0-based, at which the last restart reaches the ground."""
+    result = anneal(model, sched, seed=seed, target_energy=ground_target(model))
+    n = model.n_vars
+    visits = result.energy_evaluations - (result.restarts_used - 1) * sched.sweeps * n
+    return divmod(visits - 1, n)
+
+
+@pytest.mark.parametrize("wanted", [(1, -1), (0, 0)],
+                         ids=["last visit of a batch", "first visit of the next batch"])
+def test_stop_on_a_batch_boundary_matches_the_sequential_loop(wanted):
+    """Two-sweep batches, and a seed whose stop falls on a batch boundary.
+
+    ``wanted`` is (sweep parity, visit): the last visit of an odd sweep ends
+    a batch, and the first visit of an even sweep starts one.
+    """
+    model = COUPLER_FREE["mixed"]
+    n = model.n_vars
+    sched = AnnealSchedule(sweeps=40, t_initial=8.0, t_final=2.0, restarts=3)
+
+    def on_boundary(seed):
+        sweep, visit = stop_visit(model, sched, seed)
+        return sweep >= 2 and (sweep % 2, visit) == (wanted[0], wanted[1] % n)
+
+    seed = next(filter(on_boundary, range(1000)))
+    batched, sequential = batched_and_sequential(
+        model, sched, 2 * n, seed=seed, target_energy=ground_target(model))
+    assert batched == sequential
+    assert batched.best_energy == exhaustive_solve(model).ground_energy
 
 
 def test_compile_runs_once_per_model():

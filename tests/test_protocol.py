@@ -3,10 +3,12 @@
 import json
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from hiddenstring import protocol
 from hiddenstring.annealer import AnnealSchedule
 from hiddenstring.builders import SIGNALS, simon_coupled_energy
 from hiddenstring.model import BitVector
@@ -305,3 +307,9 @@ class TestBenchCalls:
             bench_calls("parity", [4], trials=1)
         with pytest.raises(ValueError):
             bench_calls("bv", [4], trials=0)
+
+    @pytest.mark.parametrize("problem, solver", [("bv", "magic"), ("simon", "exhaustive")])
+    def test_rejects_a_solver_before_any_trial(self, problem, solver):
+        with mock.patch.object(protocol, "_bench_one", side_effect=AssertionError):
+            with pytest.raises(ValueError, match="solver"):
+                bench_calls(problem, [4], trials=1, solver=solver)
