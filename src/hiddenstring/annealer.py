@@ -20,7 +20,10 @@ identical results.
 :func:`anneal_black_box` works on an opaque energy callback (used for the
 oracle-coupled search, where the objective exists only behind oracle
 queries), carries the current state's energy and prices every flip with one
-callback evaluation of the flipped state. Its state is a single integer,
+callback evaluation of the flipped state. It compares and keeps the
+callback's own values, so on an exact objective (ints or Fractions) its
+flip costs and best-state tracking are exact, and only the early-stop test
+rounds a new best energy to a float. Its state is a single integer,
 flipped with an xor and handed to the callback as a :class:`BitVector`
 that wraps the integer without unpacking its bits.
 """
@@ -371,15 +374,19 @@ def anneal_black_box(
 
     The state is one integer (bit k is variable k) and a flip is an xor;
     the callback receives it as a :class:`BitVector` that stores only that
-    integer. Each sweep prices a cost dE > 0 once in a ``{dE: p}`` table.
-    ``target_energy`` stops the run when a new best energy is at most the
-    target; a start state that already meets it stops after one flip
-    attempt.
+    integer. Energies are the callback's own values: costs, the best-state
+    comparison and the restart merge are exact for an int or Fraction
+    objective, and ``best_energy`` is the least value the run kept. Each
+    sweep prices a cost dE > 0 once in a ``{dE: p}`` table.
+    ``target_energy`` stops the run when a new best energy, rounded to the
+    nearest float, is at most the target, so ``target_energy=float(E)``
+    fires at an exact floor E as in :func:`anneal`; a start state that
+    already meets it stops after one flip attempt. ``trajectory`` records
+    the best energy after each sweep as a float.
     """
     if n_vars < 1:
         raise ValueError("need at least one variable")
     best_e = math.inf
-    best_raw = None
     best_value: int | None = None
     evaluations = 0
     restarts_used = 0
@@ -392,18 +399,17 @@ def anneal_black_box(
         rng = _seeded_rng(seed, r)
         start = rng.integers(0, 2, size=n_vars).tolist()
         value = sum(b << k for k, b in enumerate(start))
-        run_raw = energy(of(value, n_vars))
-        e_cur = float(run_raw)
+        e_cur = energy(of(value, n_vars))
         evaluations += 1
         run_e, run_value = e_cur, value
-        met = target_energy is not None and run_e <= target_energy
+        met = target_energy is not None and float(run_e) <= target_energy
         done = False
 
         for sweep in range(schedule.sweeps):
             if done:
                 break
             t = schedule.temperature(sweep)
-            accept: dict[float, float] = {}
+            accept: dict = {}
             order = rng.permutation(n_vars).tolist()
             uniforms = rng.random(n_vars).tolist()
             if met:  # the start state is at the target: one attempt, then stop
@@ -411,12 +417,11 @@ def anneal_black_box(
                 done = True
             for k, i in enumerate(order):
                 value ^= 1 << i
-                raw_new = energy(of(value, n_vars))
-                e_new = float(raw_new)
+                e_new = energy(of(value, n_vars))
                 evaluations += 1
                 de = e_new - e_cur
                 # Negated tests, so that a NaN cost (inf - inf) is rejected.
-                if not de <= 0.0:
+                if not de <= 0:
                     p = accept.get(de)
                     if p is None:
                         p = accept[de] = exp(-de / t)
@@ -425,24 +430,24 @@ def anneal_black_box(
                         continue
                 e_cur = e_new
                 if e_new < run_e:
-                    run_e, run_raw, run_value = e_new, raw_new, value
-                    if target_energy is not None and run_e <= target_energy:
+                    run_e, run_value = e_new, value
+                    if target_energy is not None and float(run_e) <= target_energy:
                         done = True
                         break
             if trajectory is not None:
-                trajectory.append(min(best_e, run_e))
+                trajectory.append(float(min(best_e, run_e)))
         # Ties go to the smallest bit sequence, as in :func:`anneal`. The
         # first restart always merges, even when its best energy is inf.
         if best_value is None or run_e < best_e or (
             run_e == best_e and of(run_value, n_vars).bits < of(best_value, n_vars).bits
         ):
-            best_e, best_raw, best_value = run_e, run_raw, run_value
+            best_e, best_value = run_e, run_value
         if done:
             break
 
     return AnnealResult(
         best_assignment=of(best_value, n_vars),
-        best_energy=best_raw,
+        best_energy=best_e,
         restarts_used=restarts_used,
         energy_evaluations=evaluations,
         seed=seed,

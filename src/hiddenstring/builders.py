@@ -11,9 +11,9 @@ Three binary quadratic models, plus one oracle-coupled objective:
   +1 and -1 (kept verbatim for export and matrix-reproduction tests; note
   nothing couples those two bits to the w/y bits, so this model cannot
   steer the search toward collisions);
-* the coupled objective, which queries the oracle for a mismatch signal
-  ``d(w, y)`` and adds the penalty; this is the form an annealer can
-  actually minimize to find a collision.
+* the coupled objective, which queries the oracle for the labels of w and
+  y and adds the penalty to their mismatch ``[g(w) != g(y)]``; this is the
+  form an annealer can actually minimize to find a collision.
 
 For the 2-to-1 problem, bit variables are indexed 1..n (label ``w_j`` reads
 bit j-1 of the vector); the parity problem indexes 0..n-1.
@@ -34,10 +34,7 @@ __all__ = [
     "simon_coupled_energy",
     "bv_labels",
     "simon_labels",
-    "SIGNALS",
 ]
-
-SIGNALS = ("indicator", "hamming")
 
 
 def bv_labels(n: int) -> tuple[VarLabel, ...]:
@@ -116,25 +113,16 @@ def build_simon_literal_qubo(n: int, j: int) -> QuboModel:
     return penalty + gw_gy
 
 
-def _penalty_value(wj: int, yj: int) -> int:
-    return -wj + 3 * yj - 2 * wj * yj
-
-
-def coupled_value(gw: int, gy: int, wj: int, yj: int, n: int, signal: str) -> int | Fraction:
+def coupled_value(gw: int, gy: int, wj: int, yj: int) -> int:
     """The coupled objective from the two oracle labels and the two j-bits.
 
-    ``indicator`` gives an int and ``hamming`` a Fraction; both are exact.
-    This is the one place the objective's formula lives: the public
-    :func:`simon_coupled_energy` and the coupled search's energy callback,
-    which memoizes labels instead of querying twice, both call it.
+    The label mismatch ``[gw != gy]`` plus the inequality penalty
+    ``-w_j + 3 y_j - 2 w_j y_j``, an exact int. This is the one place the
+    objective's formula lives: the public :func:`simon_coupled_energy` and
+    the coupled search's energy callback, which memoizes labels instead of
+    querying twice, both call it.
     """
-    if signal == "indicator":
-        d = int(gw != gy)
-    elif signal == "hamming":
-        d = Fraction((gw ^ gy).bit_count(), n - 1)
-    else:
-        raise ValueError(f"signal must be one of {SIGNALS}, got {signal!r}")
-    return d + _penalty_value(wj, yj)
+    return int(gw != gy) - wj + 3 * yj - 2 * wj * yj
 
 
 def simon_coupled_energy(
@@ -142,22 +130,18 @@ def simon_coupled_energy(
     w: BitVector,
     y: BitVector,
     j: int,
-    signal: str = "indicator",
 ) -> Fraction:
-    """Mismatch signal of (w, y) plus the inequality penalty on bit j.
+    """Label mismatch of (w, y) plus the inequality penalty on bit j.
 
-    Makes exactly two oracle queries. ``signal`` selects the transcription
-    of "the labels differ": ``indicator`` is 0/1 equality, ``hamming`` is
-    the label Hamming distance scaled by 1/(n-1) for a less flat landscape.
-    The minimum is -1, reached exactly when the labels collide with
-    w_j = 1 and y_j = 0 (possible iff bit j of the hidden string is set).
+    Makes exactly two oracle queries. The mismatch is 0 when the labels
+    g(w) and g(y) are equal and 1 otherwise. The minimum is -1, reached
+    exactly when the labels collide with w_j = 1 and y_j = 0 (possible iff
+    bit j of the hidden string is set).
     """
     n = oracle.n
     if len(w) != n or len(y) != n:
         raise ValueError(f"w and y must each have {n} bits")
     _check_j(j, n)
-    if signal not in SIGNALS:
-        raise ValueError(f"signal must be one of {SIGNALS}, got {signal!r}")
     gw = oracle.query(w)
     gy = oracle.query(y)
-    return Fraction(coupled_value(gw, gy, w[j - 1], y[j - 1], n, signal))
+    return Fraction(coupled_value(gw, gy, w[j - 1], y[j - 1]))

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .annealer import AnnealSchedule, _seeded_rng
-from .builders import SIGNALS, build_bv_qubo_from_bits, build_simon_literal_qubo
+from .builders import build_bv_qubo_from_bits, build_simon_literal_qubo
 from .model import BitVector, QuboModel, exhaustive_solve
 from .oracles import BvOracle, SimonOracle, random_hidden_string
 from .protocol import (
@@ -52,7 +52,6 @@ class RunConfig:
     mode: str = "coupled"
     j: int | None = None
     j_policy: str = "cycle"
-    signal: str = "indicator"
     budget: int | None = None
     sweeps: int | None = None
     restarts: int | None = None
@@ -100,7 +99,7 @@ class RunConfig:
                 raise ValueError(f"n must be positive, got {n}")
             if self.problem == "simon" and n < 2:
                 raise ValueError("simon needs n >= 2")
-        if command != "bench" and isinstance(self.n, list) and len(ns) != 1:
+        if command != "bench" and isinstance(self.n, list):
             raise ValueError("only bench accepts a list of n values")
         if isinstance(self.a, int):
             for n in ns:
@@ -114,7 +113,6 @@ class RunConfig:
             ("--solver", self.solver, _SOLVERS),
             ("--mode", self.mode, _MODES),
             ("--j-policy", self.j_policy, _J_POLICIES),
-            ("--signal", self.signal, SIGNALS),
             ("--format", self.format, _FORMATS),
         ):
             if value not in choices:
@@ -187,7 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--mode", choices=_MODES)
     common.add_argument("--j", type=int, help="constrained coordinate (1-based)")
     common.add_argument("--j-policy", dest="j_policy", choices=_J_POLICIES)
-    common.add_argument("--signal", choices=SIGNALS)
     common.add_argument("--budget", type=int, help="max solver calls per run")
     common.add_argument("--sweeps", type=int)
     common.add_argument("--restarts", type=int)
@@ -294,7 +291,6 @@ def _cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> int:
             j_policy=cfg.j_policy,
             j=cfg.j,
             budget=cfg.budget,
-            signal=cfg.signal,
             schedule=cfg.schedule(_n_vars(cfg, n)),
             seed=cfg.seed,
             blind=cfg.blind,
@@ -322,7 +318,6 @@ def _cmd_bench(cfg: RunConfig, args: argparse.Namespace) -> int:
             j_policy=cfg.j_policy,
             j=cfg.j,
             budget=cfg.budget,
-            signal=cfg.signal,
             schedule=cfg.schedule(_n_vars(cfg, n)),
         )
     ]

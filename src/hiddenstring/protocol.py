@@ -27,7 +27,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .annealer import AnnealSchedule, _seeded_rng, anneal, anneal_black_box, default_schedule
-from .builders import SIGNALS, build_bv_qubo, build_simon_literal_qubo, coupled_value
+from .builders import build_bv_qubo, build_simon_literal_qubo, coupled_value
 # Not called here since the coupled search memoizes labels, but kept as an
 # attribute of this module: benchmarks/tracer.py wraps it by this name.
 from .builders import simon_coupled_energy  # noqa: F401
@@ -249,28 +249,27 @@ def solve_bv(
 
 def _coupled_schedule(n: int) -> AnnealSchedule:
     # One hardware call per invocation; the ceiling 6.0 is the largest
-    # single-flip move (signal step 1 plus constraint step 5).
+    # single-flip move (mismatch step 1 plus constraint step 5).
     return AnnealSchedule(sweeps=48 * n, t_initial=6.0, t_final=0.01, restarts=1)
 
 
-def _coupled_objective(oracle: SimonOracle, j: int, signal: str):
+def _coupled_objective(oracle: SimonOracle, j: int):
     """Energy callback of one coupled solver call, over the 2n-bit state.
 
     The state integer holds w in its low n bits and y in its high n bits.
     Oracle labels are memoized per callback, so each distinct half-string
     costs one query per solver call however often the search revisits it;
-    the memo lives and dies with the call. The indicator objective is the
-    label mismatch plus a penalty looked up by (w_j, y_j); the table is
-    filled from :func:`builders.coupled_value` at equal labels.
+    the memo lives and dies with the call. The objective is the label
+    mismatch plus a penalty looked up by (w_j, y_j); the table is filled
+    from :func:`builders.coupled_value` at equal labels.
     """
     n = oracle.n
     mask = (1 << n) - 1
     bit = j - 1
     labels: dict[int, int] = {}
-    penalty = [coupled_value(0, 0, k & 1, k >> 1, n, "indicator") for k in range(4)]
-    indicator = signal == "indicator"
+    penalty = [coupled_value(0, 0, k & 1, k >> 1) for k in range(4)]
 
-    def energy(state: BitVector) -> int | Fraction:
+    def energy(state: BitVector) -> int:
         v = state.to_integer()
         w, y = v & mask, v >> n
         gw = labels.get(w)
@@ -279,9 +278,7 @@ def _coupled_objective(oracle: SimonOracle, j: int, signal: str):
         gy = labels.get(y)
         if gy is None:
             gy = labels[y] = oracle.query(BitVector.from_integer(y, n))
-        if indicator:
-            return (gw != gy) + penalty[(w >> bit & 1) | (y >> bit & 1) << 1]
-        return coupled_value(gw, gy, (w >> bit) & 1, (y >> bit) & 1, n, signal)
+        return (gw != gy) + penalty[(w >> bit & 1) | (y >> bit & 1) << 1]
 
     return energy
 
@@ -318,6 +315,8 @@ def solve_simon(
     constraint model. Either way a returned pair with w != y then costs
     two queries to check whether it actually collides.
 
+    ``signal`` names the coupled objective's mismatch term; ``"indicator"``
+    (label equality) is its only value, and coupled reports record it.
     Every argument is checked before the first oracle query.
     """
     n = oracle.n
@@ -325,8 +324,8 @@ def solve_simon(
         raise ValueError(f"unknown mode {mode!r}")
     if j_policy not in _J_POLICIES:
         raise ValueError(f"unknown j policy {j_policy!r}")
-    if mode == "coupled" and signal not in SIGNALS:
-        raise ValueError(f"signal must be one of {SIGNALS}, got {signal!r}")
+    if signal != "indicator":
+        raise ValueError(f"signal must be 'indicator', got {signal!r}")
     if j_policy == "fixed":
         if j is None:
             raise ValueError("fixed j policy needs an explicit j")
@@ -357,7 +356,7 @@ def solve_simon(
         if mode == "coupled":
             sched = schedule if schedule is not None else _coupled_schedule(n)
             result = anneal_black_box(
-                _coupled_objective(oracle, j_call, signal),
+                _coupled_objective(oracle, j_call),
                 2 * n,
                 sched,
                 seed=_spawn_seed(call_seed_pair),
@@ -425,33 +424,31 @@ def _bench_one(
     n: int,
     trial: int,
     seed: int,
-    options: dict[str, Any],
+    *,
+    solver: str,
+    mode: str,
+    j_policy: str,
+    j: int | None,
+    budget: int | None,
+    schedule: AnnealSchedule | None,
 ) -> ExperimentReport:
     rng = _seeded_rng(seed, n, trial, 0)
     run_seed = _spawn_seed((seed, n, trial, 1))
     if problem == "bv":
         a = random_hidden_string(n, rng)
         oracle = BvOracle(a)
-        report = solve_bv(
-            oracle,
-            solver=options["solver"],
-            schedule=options["schedule"],
-            seed=run_seed,
-        )
-    else:
-        a = random_hidden_string(n, rng, nonzero=True)
-        oracle = SimonOracle(a, seed=_spawn_seed((seed, n, trial, 2)))
-        report = solve_simon(
-            oracle,
-            mode=options["mode"],
-            j_policy=options["j_policy"],
-            j=options["j"],
-            budget=options["budget"],
-            signal=options["signal"],
-            schedule=options["schedule"],
-            seed=run_seed,
-        )
-    return report
+        return solve_bv(oracle, solver=solver, schedule=schedule, seed=run_seed)
+    a = random_hidden_string(n, rng, nonzero=True)
+    oracle = SimonOracle(a, seed=_spawn_seed((seed, n, trial, 2)))
+    return solve_simon(
+        oracle,
+        mode=mode,
+        j_policy=j_policy,
+        j=j,
+        budget=budget,
+        schedule=schedule,
+        seed=run_seed,
+    )
 
 
 def bench_calls(
@@ -465,7 +462,6 @@ def bench_calls(
     j_policy: str = "cycle",
     j: int | None = None,
     budget: int | None = None,
-    signal: str = "indicator",
     schedule: AnnealSchedule | None = None,
 ) -> list[dict[str, Any]]:
     """Measure solver-call and oracle-query statistics across problem sizes.
@@ -478,24 +474,21 @@ def bench_calls(
     """
     if problem not in _PROBLEMS:
         raise ValueError(f"unknown problem {problem!r}")
+    if len(n_values) == 0:
+        raise ValueError("n_values needs at least one size")
     if trials < 1:
         raise ValueError("trials must be positive")
     if solver not in _SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
     if problem == "simon" and solver != "anneal":
         raise ValueError(f"solver {solver!r} applies only to problem 'bv'")
-    options = {
-        "solver": solver,
-        "mode": mode,
-        "j_policy": j_policy,
-        "j": j,
-        "budget": budget,
-        "signal": signal,
-        "schedule": schedule,
-    }
     rows = []
     for n in n_values:
-        reports = [_bench_one(problem, n, t, seed, options) for t in range(trials)]
+        reports = [
+            _bench_one(problem, n, t, seed, solver=solver, mode=mode, j_policy=j_policy,
+                       j=j, budget=budget, schedule=schedule)
+            for t in range(trials)
+        ]
         calls = [r.aqc_calls for r in reports]
         queries = [r.oracle_queries for r in reports]
         correct = sum(

@@ -271,6 +271,33 @@ class TestAnnealBlackBox:
         assert result.restarts_used == 1
         assert result.energy_evaluations < 2 * 4 * 200 * 8
 
+    def test_best_energy_is_the_least_value_evaluated(self):
+        # Every value rounds to the float nearest 1/3, so only exact
+        # comparisons tell them apart.
+        seen = []
+
+        def energy(s):
+            seen.append(Fraction(1, 3) + Fraction(s.to_integer(), 10**30))
+            return seen[-1]
+
+        sched = AnnealSchedule(5, 1.0, 0.5, restarts=2)
+        result = anneal_black_box(energy, 6, sched, seed=4, record_trajectory=True)
+        assert result.best_energy == min(seen)
+        assert energy(result.best_assignment) == result.best_energy
+        assert all(type(e) is float for e in result.trajectory)
+
+    def test_fraction_floor_stops_at_its_float_target(self):
+        # float(1/3) lies below 1/3, so an exact test against it would never fire.
+        sched = AnnealSchedule(sweeps=200, t_initial=0.05, t_final=0.01, restarts=4)
+        result = anneal_black_box(
+            lambda s: Fraction(1, 3) + s.popcount(), 8, sched, seed=5,
+            target_energy=float(Fraction(1, 3)),
+        )
+        assert result.best_energy == Fraction(1, 3)
+        assert result.best_assignment.to_integer() == 0
+        assert result.restarts_used == 1
+        assert result.energy_evaluations < 200 * 8
+
     def test_deterministic_for_fixed_seed(self):
         model = random_integer_model(np.random.default_rng(16), 5)
         sched = AnnealSchedule(sweeps=15, t_initial=2.0, t_final=0.1, restarts=2)

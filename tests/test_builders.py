@@ -1,7 +1,6 @@
 """Hamiltonian builders: diagonal parity model, penalty, literal and coupled forms."""
 
 import itertools
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -172,16 +171,6 @@ class TestCoupledEnergy:
         before = oracle.queries
         simon_coupled_energy(oracle, w, y, 1)
         assert oracle.queries - before == 2
-        simon_coupled_energy(oracle, w, y, 3, signal="hamming")
-        assert oracle.queries - before == 4
-
-    def test_hamming_signal_is_scaled_label_distance(self):
-        oracle = self._oracle()
-        w = BitVector.from_integer(5, 4)
-        y = BitVector.from_integer(9, 4)
-        gw, gy = oracle.query(w), oracle.query(y)
-        expected = Fraction(int(gw ^ gy).bit_count(), 3) + _pen(w[0], y[0])
-        assert simon_coupled_energy(oracle, w, y, 1, signal="hamming") == expected
 
     def test_validates_arguments(self):
         oracle = self._oracle()
@@ -190,8 +179,6 @@ class TestCoupledEnergy:
             simon_coupled_energy(oracle, w, BitVector.from_integer(1, 3), 1)
         with pytest.raises(ValueError):
             simon_coupled_energy(oracle, w, w, 0)
-        with pytest.raises(ValueError):
-            simon_coupled_energy(oracle, w, w, 1, signal="square")
 
 
 def _pen(wj, yj):

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, config merging."""
 
+import argparse
 import json
 import re
 import shlex
@@ -160,6 +161,12 @@ class TestValidation:
     def test_n_list_only_for_bench(self, capsys):
         assert run(capsys, "solve", "--problem", "bv", "--n", "4,6", "--a", "1")[0] == 2
 
+    @pytest.mark.parametrize("command", ["solve", "build", "spectrum"])
+    def test_one_value_list_only_for_bench(self, capsys, command):
+        code, out, err = run(capsys, command, "--problem", "bv", "--n", "5,", "--a", "3")
+        assert code == 2 and out == ""
+        assert "only bench accepts a list of n values" in err
+
     @pytest.mark.parametrize("n", [",", ",,"])
     def test_empty_n_list(self, capsys, n):
         code, out, err = run(capsys, "bench", "--problem", "bv", "--n", n, "--trials", "1")
@@ -181,6 +188,14 @@ class TestValidation:
         )
         assert code == 2 and out == ""
         assert "--workers" in err
+
+    @pytest.mark.parametrize("command", [["solve"], ["bench", "--trials", "1"]])
+    def test_signal_flag_is_gone(self, capsys, command):
+        code, out, err = run(
+            capsys, *command, "--problem", "simon", "--n", "4", "--signal", "indicator",
+        )
+        assert code == 2 and out == ""
+        assert "--signal" in err
 
 
 class TestBench:
@@ -326,7 +341,7 @@ class TestRunConfig:
     def test_round_trips_through_json(self):
         cfg = RunConfig(
             problem="simon", n=[4, 6], a="random", seed=3, solver="anneal",
-            mode="literal", j=2, j_policy="fixed", signal="hamming", budget=12,
+            mode="literal", j=2, j_policy="fixed", budget=12,
             sweeps=5, restarts=2, t0=3.0, t1=0.5, format="qubo", out="x.json",
             blind=True, trials=7,
         )
@@ -342,6 +357,13 @@ class TestRunConfig:
         code, out, err = run(capsys, "bench", "--config", str(cfg_path))
         assert code == 2 and out == ""
         assert "unknown config fields: ['workers']" in err
+
+    def test_config_naming_signal_exits_two(self, capsys, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"problem": "simon", "n": 4, "signal": "indicator"}))
+        code, out, err = run(capsys, "solve", "--config", str(cfg_path))
+        assert code == 2 and out == ""
+        assert "unknown config fields: ['signal']" in err
 
     def test_config_file_supplies_flags(self, capsys, tmp_path):
         cfg_path = tmp_path / "run.json"
@@ -363,6 +385,20 @@ class TestRunConfig:
 
 
 class TestReadmeUsage:
+    def test_shared_flag_list_matches_the_parser(self):
+        text = re.search(r"Every subcommand accepts the same flags \((.*?)\)\.", README, re.DOTALL)
+        documented = {item.split()[0] for item in re.findall(r"`([^`]+)`", text.group(1))}
+        subparsers = next(
+            action for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        shared = set.intersection(*(
+            {action.option_strings[0] for action in sub._actions
+             if action.option_strings and action.dest != "help"}
+            for sub in subparsers.choices.values()
+        ))
+        assert documented == shared
+
     def test_every_command_line_example_runs(self, capsys, tmp_path, monkeypatch):
         block = re.search(r"## Command line\n.*?```sh\n(.*?)```", README, re.DOTALL)
         lines = [ln for ln in block.group(1).splitlines() if ln.startswith("hiddenstring ")]

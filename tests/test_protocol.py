@@ -1,7 +1,6 @@
 """Protocols: recovery, verification probes, query accounting, bench tables."""
 
 import json
-from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -10,7 +9,7 @@ import pytest
 
 from hiddenstring import protocol
 from hiddenstring.annealer import AnnealSchedule
-from hiddenstring.builders import SIGNALS, simon_coupled_energy
+from hiddenstring.builders import simon_coupled_energy
 from hiddenstring.model import BitVector
 from hiddenstring.oracles import BvOracle, SimonOracle, random_hidden_string
 from hiddenstring.protocol import (
@@ -154,36 +153,44 @@ class TestCoupledSearch:
         assert report.pop("oracle_queries") < recorded.pop("oracle_queries")
         assert report == recorded
 
-    @pytest.mark.parametrize("signal", SIGNALS)
     @pytest.mark.parametrize("n", [3, 4])
-    def test_objective_equals_simon_coupled_energy_on_every_state(self, n, signal):
+    def test_objective_equals_simon_coupled_energy_on_every_state(self, n):
         oracle = SimonOracle(BitVector.from_integer(0b101 if n == 3 else 0b0110, n), seed=n)
         for j in range(1, n + 1):
-            energy = _coupled_objective(oracle, j, signal)
+            energy = _coupled_objective(oracle, j)
             for v in range(1 << (2 * n)):
                 value = energy(BitVector.from_integer(v, 2 * n))
                 w = BitVector.from_integer(v & ((1 << n) - 1), n)
                 y = BitVector.from_integer(v >> n, n)
-                expected = simon_coupled_energy(oracle, w, y, j, signal=signal)
-                assert value == expected
-                assert isinstance(value, int if signal == "indicator" else Fraction)
+                assert value == simon_coupled_energy(oracle, w, y, j)
+                assert isinstance(value, int)
 
     def test_objective_queries_each_half_string_once_per_callback(self):
         n = 3
         oracle = SimonOracle(BitVector.from_integer(0b110, n), seed=1)
         for _call in range(2):  # a new callback starts with an empty memo
-            energy = _coupled_objective(oracle, 2, "indicator")
+            energy = _coupled_objective(oracle, 2)
             before = oracle.queries
             for v in range(1 << (2 * n)):
                 energy(BitVector.from_integer(v, 2 * n))
             assert oracle.queries - before == 1 << n
 
 
-    def test_unknown_signal_rejected_before_any_query(self):
+    @pytest.mark.parametrize("signal", ["square", "hamming"])
+    @pytest.mark.parametrize("mode", ["coupled", "literal"])
+    def test_unknown_signal_rejected_before_any_query(self, mode, signal):
         oracle = SimonOracle(BitVector.from_integer(0b101, 3), seed=0)
         with pytest.raises(ValueError, match="signal"):
-            solve_simon(oracle, signal="square")
+            solve_simon(oracle, mode=mode, signal=signal)
         assert oracle.queries == 0
+
+    def test_indicator_signal_is_accepted_in_both_modes(self):
+        a = BitVector.from_integer(0b101, 3)
+        for mode in ("coupled", "literal"):
+            named = solve_simon(SimonOracle(a, seed=0), mode=mode, signal="indicator", seed=2)
+            default = solve_simon(SimonOracle(a, seed=0), mode=mode, seed=2)
+            assert named.to_dict() | {"wall_time_s": 0} == default.to_dict() | {"wall_time_s": 0}
+            assert named.signal == ("indicator" if mode == "coupled" else None)
 
 
 class TestSolveSimon:
@@ -307,6 +314,12 @@ class TestBenchCalls:
             bench_calls("parity", [4], trials=1)
         with pytest.raises(ValueError):
             bench_calls("bv", [4], trials=0)
+
+    @pytest.mark.parametrize("problem", ["bv", "simon"])
+    def test_rejects_an_empty_size_list_before_any_trial(self, problem):
+        with mock.patch.object(protocol, "_bench_one", side_effect=AssertionError):
+            with pytest.raises(ValueError, match="n_values"):
+                bench_calls(problem, [], trials=1)
 
     @pytest.mark.parametrize("problem, solver", [("bv", "magic"), ("simon", "exhaustive")])
     def test_rejects_a_solver_before_any_trial(self, problem, solver):
