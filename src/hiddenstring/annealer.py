@@ -8,24 +8,21 @@ Everything is driven by numpy's PCG64 generator, seeded explicitly, so a
 run is reproducible from its (model, schedule, seed) triple alone. Restart
 r draws from ``SeedSequence((seed, r))``.
 
-Two entry points. :func:`anneal` works on an explicit model: it compiles
-the rational coefficients once to integers over a common denominator, so
-local fields, flip costs and energies are exact ints; each sweep looks up
-acceptance probabilities in a table keyed by the integer cost; and an
-early-stop target is compared with the exact best energy rounded once to a
-float. On a model without couplers whose costs fit in int64 (the
-Bernstein-Vazirani model among them), a batch of sweeps, about 4 096 visits,
-is a few numpy array operations rather than one Python step per visit, with
-identical results.
-:func:`anneal_black_box` works on an opaque energy callback (used for the
-oracle-coupled search, where the objective exists only behind oracle
-queries), carries the current state's energy and prices every flip with one
-callback evaluation of the flipped state. It compares and keeps the
-callback's own values, so on an exact objective (ints or Fractions) its
-flip costs and best-state tracking are exact, and only the early-stop test
-rounds a new best energy to a float. Its state is a single integer,
-flipped with an xor and handed to the callback as a :class:`BitVector`
-that wraps the integer without unpacking its bits.
+One restart loop, two kernels. :func:`_restart_loop` seeds each restart,
+draws its start, tests the early stop, records the trajectory, merges the
+restarts' best states and builds the result; once per restart it calls a
+kernel that runs the sweeps with its visit loop inline. The explicit
+kernel (:func:`anneal`) works on the model compiled to exact ints over a
+common denominator and prices each sweep's costs in a table keyed by the
+integer cost; on a model without couplers whose costs fit in int64 (the
+Bernstein-Vazirani model among them), a batch of sweeps, about 4 096
+visits, is a few numpy array operations, with identical results. The
+black-box kernel (:func:`anneal_black_box`) prices every flip with one
+evaluation of an opaque energy callback (the oracle-coupled search, whose
+objective exists only behind oracle queries); its state is one integer,
+flipped with an xor and handed over as a :class:`BitVector` that wraps
+it. Energies are compared exactly, as ints or the callback's own values;
+only the early-stop test and the trajectory round them to floats.
 """
 
 from __future__ import annotations
@@ -34,11 +31,12 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .model import BitVector, QuboModel, _compile, _fits_int64, qubo_energy
+# qubo_energy is unused here; benchmarks/tracer.py wraps annealer.qubo_energy.
+from .model import BitVector, QuboModel, _compile, _fits_int64, qubo_energy  # noqa: F401
 
 __all__ = [
     "AnnealSchedule",
@@ -130,6 +128,62 @@ def _seeded_rng(*path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(path))
 
 
+def _restart_loop(
+    kernel: Callable[..., tuple],
+    n: int,
+    schedule: AnnealSchedule,
+    seed: int,
+    target_energy: float | None,
+    record_trajectory: bool,
+    den: int | None = None,
+) -> AnnealResult:
+    """Run the restarts of one annealing run, one ``kernel`` call each.
+
+    ``kernel(rng, start, reaches_target, sweep_bests)`` anneals from the
+    n-bit ``start`` and returns ``(run_e, run_value, evaluations, done)``:
+    its best energy and state (an int, bit k is variable k), its energy
+    evaluations, and whether ``reaches_target`` fired on a new best, which
+    ends the run. It appends its best energy after each sweep to the list
+    ``sweep_bests``. Energies are ints over ``den``, or the callback's own
+    values when ``den`` is None.
+    """
+    to_float = float if den is None else lambda e: e / den
+
+    def reaches_target(e) -> bool:
+        return target_energy is not None and to_float(e) <= target_energy
+
+    of = BitVector._of
+    best_e, best_value = math.inf, None
+    evaluations = 0
+    trajectory: list[float] | None = [] if record_trajectory else None
+    for r in range(schedule.restarts):
+        rng = _seeded_rng(seed, r)
+        start = rng.integers(0, 2, size=n)
+        sweep_bests: list = []
+        run_e, run_value, calls, done = kernel(rng, start, reaches_target, sweep_bests)
+        evaluations += calls
+        if trajectory is not None:
+            trajectory.extend(to_float(min(best_e, e)) for e in sweep_bests)
+        # Ties go to the least bit sequence, so the outcome does not depend
+        # on restart order. The first restart always merges, even when its
+        # best energy is inf.
+        if best_value is None or run_e < best_e or (
+            run_e == best_e and of(run_value, n).bits < of(best_value, n).bits
+        ):
+            best_e, best_value = run_e, run_value
+        if done:
+            break
+
+    return AnnealResult(
+        best_assignment=of(best_value, n),
+        best_energy=best_e if den is None else Fraction(best_e, den),
+        restarts_used=r + 1,
+        energy_evaluations=evaluations,
+        seed=seed,
+        trajectory=tuple(trajectory) if trajectory is not None else None,
+    )
+
+
 def anneal(
     model: QuboModel,
     schedule: AnnealSchedule | None = None,
@@ -147,7 +201,7 @@ def anneal(
     incrementally at O(degree) per accepted flip. Each sweep prices a cost
     dE > 0 as ``exp(-(dE/den)/T)``. The best assignment ever visited is kept
     across restarts, merging energy ties toward the lexicographically least
-    bit sequence; its reported energy is re-evaluated exactly.
+    bit sequence; its energy is reported exactly, as ``Fraction(e, den)``.
 
     A model without couplers, whose summed cost magnitudes stay below 2**63,
     takes ``_BATCH_VISITS // n`` sweeps at a time (at least one) as a few
@@ -181,21 +235,9 @@ def anneal(
         levels, level_of = np.unique(h_abs, return_inverse=True)
         costs = [c / den for c in levels.tolist()]  # priced as the sequential loop does
         batch = max(1, _BATCH_VISITS // n)
-
-    def reaches_target(e: int) -> bool:
-        return target_energy is not None and e / den <= target_energy
-
-    best_e = math.inf
-    best_bits: list[int] | None = None
-    attempts = 0
-    restarts_used = 0
-    trajectory: list[float] | None = [] if record_trajectory else None
     exp = math.exp
 
-    for r in range(schedule.restarts):
-        restarts_used = r + 1
-        rng = _seeded_rng(seed, r)
-        start = rng.integers(0, 2, size=n)
+    def restart(rng, start, reaches_target, sweep_bests):
         s = start.tolist()
         field = list(h)
         for i, j, w in couplers:
@@ -207,6 +249,7 @@ def anneal(
         energy += sum(w for i, j, w in couplers if s[i] and s[j])
         run_e, run_bits = energy, s.copy()
         done = reaches_target(run_e)
+        attempts = 0
         if diagonal:
             excited = start.astype(np.int8) ^ ground
             for first in range(0, schedule.sweeps, batch):
@@ -215,12 +258,11 @@ def anneal(
                 temps = map(schedule.temperature,
                             range(first, min(first + batch, schedule.sweeps)))
                 probs = np.array([exp(-c / t) for t in temps for c in costs])
-                energy, run_e, run_bits, visits, done, sweep_bests = _diagonal_sweep(
+                energy, run_e, run_bits, visits, done, batch_bests = _diagonal_sweep(
                     rng, excited, ground, h_abs, probs.reshape(-1, len(costs)).take(level_of, 1),
                     energy, run_e, run_bits, reaches_target)
                 attempts += visits
-                if trajectory is not None:
-                    trajectory.extend(min(best_e, e) / den for e in sweep_bests)
+                sweep_bests.extend(batch_bests)
         else:
             for sweep in range(schedule.sweeps):
                 if done:
@@ -248,24 +290,10 @@ def anneal(
                         if reaches_target(run_e):
                             done = True
                             break
-                if trajectory is not None:
-                    trajectory.append(min(best_e, run_e) / den)
-        # Merge this restart's best; ties go to the smallest bit sequence
-        # so the outcome is independent of restart ordering.
-        if run_e < best_e or (run_e == best_e and run_bits < best_bits):
-            best_e, best_bits = run_e, run_bits
-        if done:
-            break
+                sweep_bests.append(run_e)
+        return run_e, sum(b << k for k, b in enumerate(run_bits)), attempts, done
 
-    assignment = BitVector(best_bits)
-    return AnnealResult(
-        best_assignment=assignment,
-        best_energy=qubo_energy(model, assignment),
-        restarts_used=restarts_used,
-        energy_evaluations=attempts,
-        seed=seed,
-        trajectory=tuple(trajectory) if trajectory is not None else None,
-    )
+    return _restart_loop(restart, n, schedule, seed, target_energy, record_trajectory, den)
 
 
 def _diagonal_sweep(
@@ -365,46 +393,34 @@ def anneal_black_box(
 ) -> AnnealResult:
     """Metropolis single-flip search over an opaque energy callback.
 
-    Identical dynamics to :func:`anneal`, but no structure of the objective
-    is assumed: each restart evaluates its start state once, then every
-    flip attempt costs one callback evaluation of the flipped state, the
-    current state's energy being carried from the last accepted flip.
+    The dynamics of :func:`anneal`, with no structure of the objective
+    assumed: each restart evaluates its start state once, then every flip
+    attempt costs one callback evaluation of the flipped state.
     ``energy_evaluations`` counts callback calls, ``restarts_used * (1 +
-    flips attempted)`` for a run that does not stop early.
+    flips attempted)`` for a run that does not stop early. The callback
+    receives the state as a :class:`BitVector` that stores only its integer.
 
-    The state is one integer (bit k is variable k) and a flip is an xor;
-    the callback receives it as a :class:`BitVector` that stores only that
-    integer. Energies are the callback's own values: costs, the best-state
-    comparison and the restart merge are exact for an int or Fraction
-    objective, and ``best_energy`` is the least value the run kept. Each
-    sweep prices a cost dE > 0 once in a ``{dE: p}`` table.
-    ``target_energy`` stops the run when a new best energy, rounded to the
-    nearest float, is at most the target, so ``target_energy=float(E)``
-    fires at an exact floor E as in :func:`anneal`; a start state that
-    already meets it stops after one flip attempt. ``trajectory`` records
-    the best energy after each sweep as a float.
+    Energies are the callback's own values, so costs, the best-state
+    comparison and the merge are exact for an int or Fraction objective,
+    and ``best_energy`` is the least value the run kept. ``target_energy``
+    stops the run when a new best energy, rounded to the nearest float, is
+    at most the target, so ``target_energy=float(E)`` fires at an exact
+    floor E; a start state that already meets it stops after one flip
+    attempt (:func:`anneal` makes none). ``trajectory`` records the best
+    energy after each sweep as a float.
     """
     if n_vars < 1:
         raise ValueError("need at least one variable")
-    best_e = math.inf
-    best_value: int | None = None
-    evaluations = 0
-    restarts_used = 0
-    trajectory: list[float] | None = [] if record_trajectory else None
     exp = math.exp
     of = BitVector._of
 
-    for r in range(schedule.restarts):
-        restarts_used = r + 1
-        rng = _seeded_rng(seed, r)
-        start = rng.integers(0, 2, size=n_vars).tolist()
-        value = sum(b << k for k, b in enumerate(start))
+    def restart(rng, start, reaches_target, sweep_bests):
+        value = sum(b << k for k, b in enumerate(start.tolist()))
         e_cur = energy(of(value, n_vars))
-        evaluations += 1
+        evaluations = 1
         run_e, run_value = e_cur, value
-        met = target_energy is not None and float(run_e) <= target_energy
+        met = reaches_target(run_e)
         done = False
-
         for sweep in range(schedule.sweeps):
             if done:
                 break
@@ -431,25 +447,10 @@ def anneal_black_box(
                 e_cur = e_new
                 if e_new < run_e:
                     run_e, run_value = e_new, value
-                    if target_energy is not None and float(run_e) <= target_energy:
+                    if reaches_target(run_e):
                         done = True
                         break
-            if trajectory is not None:
-                trajectory.append(float(min(best_e, run_e)))
-        # Ties go to the smallest bit sequence, as in :func:`anneal`. The
-        # first restart always merges, even when its best energy is inf.
-        if best_value is None or run_e < best_e or (
-            run_e == best_e and of(run_value, n_vars).bits < of(best_value, n_vars).bits
-        ):
-            best_e, best_value = run_e, run_value
-        if done:
-            break
+            sweep_bests.append(run_e)
+        return run_e, run_value, evaluations, done
 
-    return AnnealResult(
-        best_assignment=of(best_value, n_vars),
-        best_energy=best_e,
-        restarts_used=restarts_used,
-        energy_evaluations=evaluations,
-        seed=seed,
-        trajectory=tuple(trajectory) if trajectory is not None else None,
-    )
+    return _restart_loop(restart, n_vars, schedule, seed, target_energy, record_trajectory)

@@ -362,19 +362,14 @@ def solve_simon(
                 seed=_spawn_seed(call_seed_pair),
                 target_energy=-1.0,
             )
-            bits = result.best_assignment
-            w = BitVector(bits[:n])
-            y = BitVector(bits[n:])
-            best_energy = float(result.best_energy)
         else:
             if literal_model is None or j_policy == "cycle":
                 literal_model = build_simon_literal_qubo(n, j_call)
             sched = schedule if schedule is not None else _literal_schedule(n)
             result = anneal(literal_model, sched, seed=_spawn_seed(call_seed_pair))
-            bits = result.best_assignment
-            w = BitVector(bits[:n])
-            y = BitVector(bits[n : 2 * n])
-            best_energy = float(result.best_energy)
+        bits = result.best_assignment
+        w = BitVector(bits[:n])
+        y = BitVector(bits[n : 2 * n])
         aqc_calls += result.restarts_used
 
         accepted = w != y and check_collision(oracle, w, y)
@@ -384,7 +379,7 @@ def solve_simon(
                 "j": j_call,
                 "w": w.to_integer(),
                 "y": y.to_integer(),
-                "energy": best_energy,
+                "energy": float(result.best_energy),
                 "accepted": accepted,
             }
         )

@@ -37,14 +37,16 @@ class QuboFormatError(ValueError):
 def _format_value(c: Fraction) -> str:
     if c.denominator == 1:
         return str(c.numerator)
-    return f"{float(c):.6f}"
+    whole, frac = divmod(round(abs(c) * 10**6), 10**6)
+    return f"{'-' if c < 0 else ''}{whole}.{frac:06d}"
 
 
 def export_qubo(model: QuboModel, destination: str | Path | None = None) -> str:
     """Render a model as a ``.qubo`` document; optionally also write a file.
 
     Values whose denominator does not divide 10^6 (e.g. 1/3) are rounded to
-    six decimals; everything this package builds is exact under the format.
+    six decimals, from the exact value and half to even, never through a
+    float; everything this package builds is exact under the format.
     """
     pos = {lab: k for k, lab in enumerate(model.labels)}
     diagonal = sorted((pos[lab], c) for lab, c in model.linear.items())

@@ -51,6 +51,27 @@ class TestExport:
             "0 1 -0.750000\n"
         )
 
+    def test_decimals_past_float_precision_round_trip(self):
+        # Both values lose digits as floats: 123456789012.300003 and
+        # 4503599627370496.000000.
+        a, b = VarLabel.plain(0), VarLabel.plain(1)
+        model = QuboModel((a, b), {a: Fraction(1234567890123, 10)},
+                          {(a, b): Fraction(-9007199254740993, 2)})
+        text = export_qubo(model)
+        assert text == (
+            "p qubo 0 2 1 1\n"
+            "0 0 123456789012.300000\n"
+            "0 1 -4503599627370496.500000\n"
+        )
+        assert import_qubo(text) == model
+
+    def test_six_decimals_round_half_to_even_from_the_exact_value(self):
+        a, b, c = (VarLabel.plain(i) for i in range(3))
+        model = QuboModel((a, b, c), {a: Fraction(5, 2 * 10**6), b: Fraction(-1, 3),
+                                      c: Fraction(-1, 3 * 10**6)})
+        assert export_qubo(model).splitlines()[1:] == [
+            "0 0 0.000002", "1 1 -0.333333", "2 2 -0.000000"]
+
     def test_writes_destination_file(self, tmp_path):
         model = build_bv_qubo_from_bits([1, 1])
         path = tmp_path / "model.qubo"
