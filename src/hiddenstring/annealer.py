@@ -20,15 +20,17 @@ visits, is a few numpy array operations, with identical results. The
 black-box kernel (:func:`anneal_black_box`) prices every flip with one
 evaluation of an opaque energy callback (the oracle-coupled search, whose
 objective exists only behind oracle queries); its state is one integer,
-flipped with an xor and handed over as a :class:`BitVector` that wraps
-it. Energies are compared exactly, as ints or the callback's own values;
-only the early-stop test and the trajectory round them to floats.
+flipped with an xor and handed to the callback as that bare int. Energies
+are compared exactly, as ints or the callback's own values, and so is an
+int or Fraction early-stop target; only a float target and the
+trajectory round energies to floats.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -133,7 +135,7 @@ def _restart_loop(
     n: int,
     schedule: AnnealSchedule,
     seed: int,
-    target_energy: float | None,
+    target_energy: Fraction | int | float | None,
     record_trajectory: bool,
     den: int | None = None,
 ) -> AnnealResult:
@@ -146,11 +148,30 @@ def _restart_loop(
     ends the run. It appends its best energy after each sweep to the list
     ``sweep_bests``. Energies are ints over ``den``, or the callback's own
     values when ``den`` is None.
+
+    An int or Fraction ``target_energy`` is compared exactly: ``e <= target``
+    against the callback's values, ``e * q <= p * den`` against ints over
+    ``den`` for a target ``p / q``. A float target (any real that is not
+    rational) is compared with the energy rounded to the nearest float, as
+    the float nearest an exact floor may lie just below it.
     """
     to_float = float if den is None else lambda e: e / den
+    target = target_energy
+    if target is None:
+        def reaches_target(e) -> bool:
+            return False
+    elif not isinstance(target, numbers.Rational):
+        def reaches_target(e) -> bool:
+            return to_float(e) <= target
+    elif den is None:
+        def reaches_target(e) -> bool:
+            return e <= target
+    else:
+        target = Fraction(target)
+        q, bound = target.denominator, target.numerator * den
 
-    def reaches_target(e) -> bool:
-        return target_energy is not None and to_float(e) <= target_energy
+        def reaches_target(e) -> bool:
+            return e * q <= bound
 
     of = BitVector._of
     best_e, best_value = math.inf, None
@@ -189,7 +210,7 @@ def anneal(
     schedule: AnnealSchedule | None = None,
     seed: int = 0,
     *,
-    target_energy: float | None = None,
+    target_energy: Fraction | int | float | None = None,
     record_trajectory: bool = False,
 ) -> AnnealResult:
     """Metropolis single-flip search over an explicit model.
@@ -211,11 +232,14 @@ def anneal(
     and returns the same result, trajectory included, as the sequential
     Python-int loop that every other model takes.
 
-    ``target_energy`` stops the run early once a new best energy, rounded
-    to the nearest float as ``e / den``, is at most the target (used when a
-    lower bound for the objective is known). ``target_energy=float(E)`` for
-    an exact ground energy E therefore fires exactly at the ground.
-    ``trajectory`` records the best energy after each sweep as ``e / den``.
+    ``target_energy`` stops the run early once a new best energy is at most
+    the target (used when a lower bound for the objective is known). An int
+    or Fraction target is compared exactly, so ``target_energy=E`` for an
+    exact ground energy E fires at the ground and nowhere else. A float
+    target is compared with the energy rounded to the nearest float as
+    ``e / den``; ``float(E)`` then fires at E, but also at any level that
+    rounds to the same float. ``trajectory`` records the best energy after
+    each sweep as ``e / den``.
     """
     if schedule is None:
         schedule = default_schedule(model)
@@ -383,12 +407,12 @@ def _diagonal_sweep(
 
 
 def anneal_black_box(
-    energy: Callable[[BitVector], Fraction | float | int],
+    energy: Callable[[int], Fraction | float | int],
     n_vars: int,
     schedule: AnnealSchedule,
     seed: int = 0,
     *,
-    target_energy: float | None = None,
+    target_energy: Fraction | int | float | None = None,
     record_trajectory: bool = False,
 ) -> AnnealResult:
     """Metropolis single-flip search over an opaque energy callback.
@@ -398,25 +422,28 @@ def anneal_black_box(
     attempt costs one callback evaluation of the flipped state.
     ``energy_evaluations`` counts callback calls, ``restarts_used * (1 +
     flips attempted)`` for a run that does not stop early. The callback
-    receives the state as a :class:`BitVector` that stores only its integer.
+    receives the state as a plain int ``v`` with ``0 <= v < 2**n_vars``,
+    whose bit k is variable k; ``best_assignment`` is the
+    :class:`BitVector` of the best such int.
 
     Energies are the callback's own values, so costs, the best-state
     comparison and the merge are exact for an int or Fraction objective,
     and ``best_energy`` is the least value the run kept. ``target_energy``
-    stops the run when a new best energy, rounded to the nearest float, is
-    at most the target, so ``target_energy=float(E)`` fires at an exact
-    floor E; a start state that already meets it stops after one flip
-    attempt (:func:`anneal` makes none). ``trajectory`` records the best
-    energy after each sweep as a float.
+    stops the run when a new best energy is at most the target: exactly,
+    ``e <= target``, for an int or Fraction target, and with the energy
+    rounded to the nearest float for a float target, so that ``float(E)``
+    still fires at a floor E whose float lies just below it. A start state
+    that already meets the target stops after one flip attempt
+    (:func:`anneal` makes none). ``trajectory`` records the best energy
+    after each sweep as a float.
     """
     if n_vars < 1:
         raise ValueError("need at least one variable")
     exp = math.exp
-    of = BitVector._of
 
     def restart(rng, start, reaches_target, sweep_bests):
         value = sum(b << k for k, b in enumerate(start.tolist()))
-        e_cur = energy(of(value, n_vars))
+        e_cur = energy(value)
         evaluations = 1
         run_e, run_value = e_cur, value
         met = reaches_target(run_e)
@@ -433,7 +460,7 @@ def anneal_black_box(
                 done = True
             for k, i in enumerate(order):
                 value ^= 1 << i
-                e_new = energy(of(value, n_vars))
+                e_new = energy(value)
                 evaluations += 1
                 de = e_new - e_cur
                 # Negated tests, so that a NaN cost (inf - inf) is rejected.

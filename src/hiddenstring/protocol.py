@@ -203,7 +203,7 @@ def solve_bv(
             model,
             schedule,
             seed=seed,
-            target_energy=float(_model_floor(model)),
+            target_energy=_model_floor(model),
         )
         candidate = result.best_assignment
         best_energy = result.best_energy
@@ -256,29 +256,38 @@ def _coupled_schedule(n: int) -> AnnealSchedule:
 def _coupled_objective(oracle: SimonOracle, j: int):
     """Energy callback of one coupled solver call, over the 2n-bit state.
 
-    The state integer holds w in its low n bits and y in its high n bits.
-    Oracle labels are memoized per callback, so each distinct half-string
-    costs one query per solver call however often the search revisits it;
-    the memo lives and dies with the call. The objective is the label
-    mismatch plus a penalty looked up by (w_j, y_j); the table is filled
-    from :func:`builders.coupled_value` at equal labels.
+    The callback takes the state as a bare int ``v`` that holds w in its
+    low n bits and y in its high n bits, and returns an exact int. Oracle
+    labels are memoized per callback, so each distinct half-string costs
+    one query per solver call however often the search revisits it; the
+    memo lives and dies with the call, and a miss queries the oracle with
+    the half-string's :class:`BitVector`. The objective is the label
+    mismatch plus a penalty keyed by ``v & sel``, the state's w_j and y_j
+    bits in place; the table is filled from :func:`builders.coupled_value`
+    at equal labels.
     """
     n = oracle.n
     mask = (1 << n) - 1
-    bit = j - 1
+    w_bit, y_bit = j - 1, j - 1 + n
+    sel = 1 << w_bit | 1 << y_bit
     labels: dict[int, int] = {}
-    penalty = [coupled_value(0, 0, k & 1, k >> 1) for k in range(4)]
+    penalty = {
+        key: coupled_value(0, 0, key >> w_bit & 1, key >> y_bit & 1)
+        for key in (0, 1 << w_bit, 1 << y_bit, sel)
+    }
 
-    def energy(state: BitVector) -> int:
-        v = state.to_integer()
-        w, y = v & mask, v >> n
-        gw = labels.get(w)
-        if gw is None:
+    def energy(v: int) -> int:
+        w = v & mask
+        y = v >> n
+        try:
+            gw = labels[w]
+        except KeyError:
             gw = labels[w] = oracle.query(BitVector.from_integer(w, n))
-        gy = labels.get(y)
-        if gy is None:
+        try:
+            gy = labels[y]
+        except KeyError:
             gy = labels[y] = oracle.query(BitVector.from_integer(y, n))
-        return (gw != gy) + penalty[(w >> bit & 1) | (y >> bit & 1) << 1]
+        return (gw != gy) + penalty[v & sel]
 
     return energy
 
@@ -360,7 +369,7 @@ def solve_simon(
                 2 * n,
                 sched,
                 seed=_spawn_seed(call_seed_pair),
-                target_energy=-1.0,
+                target_energy=-1,
             )
         else:
             if literal_model is None or j_policy == "cycle":

@@ -1,5 +1,6 @@
 """Annealer: schedules, Metropolis dynamics, determinism, black-box parity."""
 
+import contextlib
 import math
 from fractions import Fraction
 from unittest import mock
@@ -177,6 +178,43 @@ class TestAnneal:
         with pytest.raises(ValueError):
             anneal(QuboModel(()), AnnealSchedule(1, 1.0, 1.0))
 
+    def test_every_target_type_stops_where_the_float_target_does(self):
+        # Ten biases of -1/10: the floor -1 is exact, and so is its float.
+        # Rational targets are compared exactly, other reals as floats.
+        labels = tuple(VarLabel.plain(i) for i in range(10))
+        model = QuboModel(labels, {lab: Fraction(-1, 10) for lab in labels})
+        targets = (-1.0, -1, Fraction(-1), np.int64(-1), np.float32(-1))
+        runs = [anneal(model, target_energy=t, seed=0) for t in targets]
+        assert all(r == runs[0] for r in runs)
+        assert runs[0].restarts_used == 1
+
+
+@pytest.mark.parametrize("kernel", ["diagonal", "sequential", "black box"])
+def test_exact_target_stops_only_at_the_ground(kernel):
+    """The ground -1 - 2**-60 and the level -1 round to the same float.
+
+    A float target therefore also fires at -1, and the run stops there in
+    some seeds; the exact target fires only at the ground.
+    """
+    labels = (VarLabel.plain(0), VarLabel.plain(1))
+    model = QuboModel(labels, {labels[0]: -1, labels[1]: -Fraction(1, 2**60)})
+    ground = exhaustive_solve(model).ground_energy
+    assert float(ground) == -1.0
+    sched = AnnealSchedule(20, 1.0, 0.01, restarts=4)
+
+    def run(seed, target):
+        if kernel == "black box":
+            return anneal_black_box(lambda v: qubo_energy(model, BitVector.from_integer(v, 2)),
+                                    2, sched, seed=seed, target_energy=target)
+        sequential = mock.patch.object(annealer, "_fits_int64", return_value=False)
+        with sequential if kernel == "sequential" else contextlib.nullcontext():
+            return anneal(model, sched, seed=seed, target_energy=target)
+
+    exact = [run(seed, ground) for seed in range(50)]
+    assert all(r.best_energy == ground and r.restarts_used == 1 for r in exact)
+    above = sum(run(seed, float(ground)).best_energy != ground for seed in range(50))
+    assert above == {"diagonal": 21, "sequential": 21, "black box": 13}[kernel]
+
 
 class TestAnnealBlackBox:
     def test_matches_explicit_anneal_on_wrapped_model(self):
@@ -185,7 +223,7 @@ class TestAnnealBlackBox:
         sched = AnnealSchedule(sweeps=40, t_initial=3.0, t_final=0.05, restarts=3)
         explicit = anneal(model, sched, seed=21)
         wrapped = anneal_black_box(
-            lambda s: qubo_energy(model, s), model.n_vars, sched, seed=21
+            lambda v: qubo_energy(model, BitVector.from_integer(v, 7)), model.n_vars, sched, seed=21
         )
         assert wrapped.best_assignment == explicit.best_assignment
         assert wrapped.best_energy == explicit.best_energy
@@ -195,9 +233,9 @@ class TestAnnealBlackBox:
         sched = AnnealSchedule(sweeps=10, t_initial=1.0, t_final=0.1, restarts=2)
         calls = []
 
-        def energy(s):
-            calls.append(s)
-            return qubo_energy(model, s)
+        def energy(v):
+            calls.append(v)
+            return qubo_energy(model, BitVector.from_integer(v, 4))
 
         result = anneal_black_box(energy, 4, sched, seed=0)
         assert result.energy_evaluations == len(calls) == 2 * (1 + 10 * 4)
@@ -219,9 +257,9 @@ class TestAnnealBlackBox:
     def test_start_state_at_target_stops_after_one_flip_attempt(self):
         seen = []
 
-        def energy(s):
-            assert isinstance(s, BitVector) and len(s) == 6
-            seen.append(s.to_integer())
+        def energy(v):
+            assert type(v) is int and 0 <= v < 2**6
+            seen.append(v)
             return 0
 
         sched = AnnealSchedule(sweeps=5, t_initial=1.0, t_final=0.5, restarts=2)
@@ -232,9 +270,9 @@ class TestAnnealBlackBox:
 
     def test_popcount_trajectory(self):
         # Recorded with the earlier bit-list implementation of the loop.
-        def energy(s):
-            assert isinstance(s, BitVector) and len(s) == 16
-            return -s.popcount()
+        def energy(v):
+            assert type(v) is int and 0 <= v < 2**16
+            return -v.bit_count()
 
         sched = AnnealSchedule(sweeps=5, t_initial=10.0, t_final=1.0, restarts=2)
         result = anneal_black_box(energy, 16, sched, seed=3, record_trajectory=True)
@@ -249,8 +287,8 @@ class TestAnnealBlackBox:
         # still returns that start (it used to raise TypeError).
         seen = []
 
-        def energy(s):
-            seen.append(s.to_integer())
+        def energy(v):
+            seen.append(v)
             return math.inf
 
         sched = AnnealSchedule(sweeps=4, t_initial=1.0, t_final=0.5, restarts=2)
@@ -265,7 +303,8 @@ class TestAnnealBlackBox:
         model = build_bv_qubo_from_bits([1] * 8)
         sched = AnnealSchedule(sweeps=200, t_initial=0.05, t_final=0.01, restarts=4)
         result = anneal_black_box(
-            lambda s: qubo_energy(model, s), 8, sched, seed=5, target_energy=-8.0
+            lambda v: qubo_energy(model, BitVector.from_integer(v, 8)), 8, sched, seed=5,
+            target_energy=-8.0,
         )
         assert result.best_energy == -8
         assert result.restarts_used == 1
@@ -276,21 +315,21 @@ class TestAnnealBlackBox:
         # comparisons tell them apart.
         seen = []
 
-        def energy(s):
-            seen.append(Fraction(1, 3) + Fraction(s.to_integer(), 10**30))
+        def energy(v):
+            seen.append(Fraction(1, 3) + Fraction(v, 10**30))
             return seen[-1]
 
         sched = AnnealSchedule(5, 1.0, 0.5, restarts=2)
         result = anneal_black_box(energy, 6, sched, seed=4, record_trajectory=True)
         assert result.best_energy == min(seen)
-        assert energy(result.best_assignment) == result.best_energy
+        assert energy(result.best_assignment.to_integer()) == result.best_energy
         assert all(type(e) is float for e in result.trajectory)
 
     def test_fraction_floor_stops_at_its_float_target(self):
         # float(1/3) lies below 1/3, so an exact test against it would never fire.
         sched = AnnealSchedule(sweeps=200, t_initial=0.05, t_final=0.01, restarts=4)
         result = anneal_black_box(
-            lambda s: Fraction(1, 3) + s.popcount(), 8, sched, seed=5,
+            lambda v: Fraction(1, 3) + v.bit_count(), 8, sched, seed=5,
             target_energy=float(Fraction(1, 3)),
         )
         assert result.best_energy == Fraction(1, 3)
@@ -301,8 +340,11 @@ class TestAnnealBlackBox:
     def test_deterministic_for_fixed_seed(self):
         model = random_integer_model(np.random.default_rng(16), 5)
         sched = AnnealSchedule(sweeps=15, t_initial=2.0, t_final=0.1, restarts=2)
-        r1 = anneal_black_box(lambda s: qubo_energy(model, s), 5, sched, seed=6)
-        r2 = anneal_black_box(lambda s: qubo_energy(model, s), 5, sched, seed=6)
+        def energy(v):
+            return qubo_energy(model, BitVector.from_integer(v, 5))
+
+        r1 = anneal_black_box(energy, 5, sched, seed=6)
+        r2 = anneal_black_box(energy, 5, sched, seed=6)
         assert r1.best_assignment == r2.best_assignment
         assert r1.energy_evaluations == r2.energy_evaluations
 

@@ -168,6 +168,14 @@ def test_exact_float_target_ends_at_the_exhaustive_ground(model, seed):
 
 
 @SETTINGS
+@given(models(), st.integers(0, 2**32))
+def test_exact_target_ends_at_the_exhaustive_ground(model, seed):
+    ground = exhaustive_solve(model).ground_energy
+    result = anneal(model, target_energy=ground, seed=seed)
+    assert result.best_energy == ground
+
+
+@SETTINGS
 @given(diagonal_models(), st.integers(0, 2**32))
 def test_coupler_free_anneal_ends_at_the_exhaustive_ground(model, seed):
     ground = exhaustive_solve(model).ground_energy
@@ -208,7 +216,9 @@ def test_black_box_on_the_model_runs_the_same_dynamics(model, seed, targeted):
     kwargs = dict(seed=seed, record_trajectory=True,
                   target_energy=float(ground) if targeted else None)
     explicit = anneal(model, sched, **kwargs)
-    black_box = anneal_black_box(lambda s: qubo_energy(model, s), model.n_vars, sched, **kwargs)
+    n = model.n_vars
+    black_box = anneal_black_box(lambda v: qubo_energy(model, BitVector.from_integer(v, n)), n,
+                                 sched, **kwargs)
     assert black_box.best_assignment == explicit.best_assignment
     assert black_box.best_energy == explicit.best_energy
     assert black_box.restarts_used == explicit.restarts_used

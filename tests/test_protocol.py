@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hiddenstring import protocol
 from hiddenstring.annealer import AnnealSchedule
@@ -162,11 +163,25 @@ class TestCoupledSearch:
         for j in range(1, n + 1):
             energy = _coupled_objective(oracle, j)
             for v in range(1 << (2 * n)):
-                value = energy(BitVector.from_integer(v, 2 * n))
+                value = energy(v)
                 w = BitVector.from_integer(v & ((1 << n) - 1), n)
                 y = BitVector.from_integer(v >> n, n)
                 assert value == simon_coupled_energy(oracle, w, y, j)
-                assert isinstance(value, int)
+                assert type(value) is int
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_objective_equals_simon_coupled_energy_at_bench_sizes(self, data):
+        n = data.draw(st.integers(5, 8), label="n")
+        a = data.draw(st.integers(1, (1 << n) - 1), label="a")
+        oracle = SimonOracle(BitVector.from_integer(a, n), seed=data.draw(st.integers(0, 2**32)))
+        states = st.lists(st.integers(0, (1 << (2 * n)) - 1), min_size=1, max_size=8)
+        for j in range(1, n + 1):
+            energy = _coupled_objective(oracle, j)
+            for v in data.draw(states, label=f"states at j={j}"):
+                w = BitVector.from_integer(v & ((1 << n) - 1), n)
+                y = BitVector.from_integer(v >> n, n)
+                assert energy(v) == simon_coupled_energy(oracle, w, y, j)
 
     def test_objective_queries_each_half_string_once_per_callback(self):
         n = 3
@@ -175,8 +190,18 @@ class TestCoupledSearch:
             energy = _coupled_objective(oracle, 2)
             before = oracle.queries
             for v in range(1 << (2 * n)):
-                energy(BitVector.from_integer(v, 2 * n))
+                energy(v)
             assert oracle.queries - before == 1 << n
+
+    def test_objective_memoizes_the_y_half_too(self):
+        # Visiting y = 0..2**n - 1 with w = 0 first, so each label is first
+        # needed as a y half, then every w: one query per half-string.
+        n = 4
+        oracle = SimonOracle(BitVector.from_integer(0b0110, n), seed=2)
+        energy = _coupled_objective(oracle, 3)
+        for v in [y << n for y in range(1 << n)] * 2 + list(range(1 << n)):
+            energy(v)
+        assert oracle.queries == 1 << n
 
 
     @pytest.mark.parametrize("signal", ["square", "hamming"])
