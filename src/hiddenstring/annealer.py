@@ -70,11 +70,14 @@ class AnnealSchedule:
 
     def __post_init__(self):
         if self.sweeps < 1:
-            raise ValueError("sweeps must be positive")
+            raise ValueError(f"sweeps must be positive, got {self.sweeps}")
         if self.restarts < 1:
-            raise ValueError("restarts must be positive")
+            raise ValueError(f"restarts must be positive, got {self.restarts}")
         if not (self.t_final > 0 and self.t_initial >= self.t_final):
-            raise ValueError("need t_initial >= t_final > 0")
+            raise ValueError(
+                "need t_initial >= t_final > 0, "
+                f"got t_initial={self.t_initial}, t_final={self.t_final}"
+            )
 
     @functools.cached_property
     def decay(self) -> float:
@@ -125,9 +128,15 @@ def _seeded_rng(*path: int) -> np.random.Generator:
     """PCG64 generator seeded from a path of integers, e.g. ``(seed, restart)``.
 
     Every seeded stream in the package (annealer restarts, protocol probes,
-    CLI hidden strings) is derived here.
+    CLI hidden strings) is derived here, and every child seed (solver calls,
+    oracle label tables) by :func:`_spawn_seed`.
     """
     return np.random.default_rng(np.random.SeedSequence(path))
+
+
+def _spawn_seed(path: tuple[int, ...]) -> int:
+    """Deterministic 63-bit child seed from a path of integers."""
+    return int(np.random.SeedSequence(path).generate_state(1, np.uint64)[0] >> 1)
 
 
 def _restart_loop(

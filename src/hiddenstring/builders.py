@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .model import BitVector, QuboModel, VarLabel
-from .oracles import BvOracle, SimonOracle
+from .oracles import BvOracle, SimonOracle, _check_width
 
 __all__ = [
     "build_bv_qubo",
@@ -70,13 +70,14 @@ def build_bv_qubo_from_bits(a: BitVector) -> QuboModel:
     """Same model as :func:`build_bv_qubo`, built from known bits, zero queries."""
     if not isinstance(a, BitVector):
         a = BitVector(a)
+    _check_width(len(a))
     linear = {VarLabel.w(k): 1 - 2 * a[k] for k in range(len(a))}
     return QuboModel(bv_labels(len(a)), linear)
 
 
 def _check_j(j: int, n: int) -> None:
     if not 1 <= j <= n:
-        raise ValueError(f"constrained index j={j} out of range 1..{n}")
+        raise ValueError(f"j must be in 1..{n}, got {j}")
 
 
 def inequality_penalty(j: int, n: int) -> QuboModel:

@@ -73,8 +73,8 @@ class BitVector:
     def from_integer(cls, value: int, n: int) -> "BitVector":
         """Bits of ``value`` in LSB-first order; ``value`` must fit in ``n`` bits."""
         if value < 0:
-            raise ValueError("value must be non-negative")
-        if value >> n:
+            raise ValueError(f"value must be non-negative, got {value}")
+        if n < 0 or value >> n:
             raise ValueError(f"value {value} does not fit in {n} bits")
         return cls._of(value, n)
 
@@ -128,7 +128,7 @@ class BitVector:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.bits)
+        return hash((self._n, self._value))
 
     def __repr__(self) -> str:
         return f"BitVector({''.join(map(str, reversed(self.bits)))}={self._value}, n={self._n})"

@@ -31,13 +31,17 @@ SIMON_TABLE_LIMIT = 20
 COLLISION_COUNT_LIMIT = 16
 
 
+def _check_width(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"hidden strings need at least one bit, got n={n}")
+
+
 def random_hidden_string(n: int, rng: np.random.Generator, *, nonzero: bool = False) -> BitVector:
     """Draw a uniform n-bit hidden string (optionally excluding zero).
 
     Drawn bit by bit so widths beyond the 64-bit integer range work too.
     """
-    if n < 1:
-        raise ValueError("hidden strings need at least one bit")
+    _check_width(n)
     while True:
         bits = rng.integers(0, 2, size=n)
         if not nonzero or bits.any():
@@ -50,6 +54,7 @@ class BvOracle:
     def __init__(self, a: BitVector):
         if not isinstance(a, BitVector):
             a = BitVector(a)
+        _check_width(len(a))
         self._a = a
         self._queries = 0
 
@@ -91,7 +96,7 @@ class SimonOracle:
                 f"explicit-table construction supports 2 <= n <= {SIMON_TABLE_LIMIT}, got n={n}"
             )
         if a.to_integer() == 0:
-            raise ValueError("the hidden string of a 2-to-1 oracle must be nonzero")
+            raise ValueError("the hidden string of a 2-to-1 oracle must be nonzero, got a=0")
         self._a = a
         self._seed = int(seed)
         self._queries = 0

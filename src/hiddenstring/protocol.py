@@ -24,10 +24,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Sequence
 
-import numpy as np
-
-from .annealer import AnnealSchedule, _seeded_rng, anneal, anneal_black_box, default_schedule
-from .builders import build_bv_qubo, build_simon_literal_qubo, coupled_value
+from .annealer import (
+    AnnealSchedule, _seeded_rng, _spawn_seed, anneal, anneal_black_box, default_schedule,
+)
+from .builders import _check_j, build_bv_qubo, build_simon_literal_qubo, coupled_value
 # Not called here since the coupled search memoizes labels, but kept as an
 # attribute of this module: benchmarks/tracer.py wraps it by this name.
 from .builders import simon_coupled_energy  # noqa: F401
@@ -338,8 +338,7 @@ def solve_simon(
     if j_policy == "fixed":
         if j is None:
             raise ValueError("fixed j policy needs an explicit j")
-        if not 1 <= j <= n:
-            raise ValueError(f"j must be in 1..{n}, got {j}")
+        _check_j(j, n)
     elif j is not None:
         raise ValueError("explicit j only makes sense with the fixed policy")
 
@@ -347,7 +346,7 @@ def solve_simon(
     if budget is None:
         budget = 64 * n
     if budget < 1:
-        raise ValueError("budget must be positive")
+        raise ValueError(f"budget must be positive, got {budget}")
     q0 = oracle.queries
 
     trace: list[dict] = []
@@ -418,11 +417,6 @@ def solve_simon(
     )
 
 
-def _spawn_seed(path: tuple[int, ...]) -> int:
-    """Deterministic 63-bit child seed from a path of integers."""
-    return int(np.random.SeedSequence(path).generate_state(1, np.uint64)[0] >> 1)
-
-
 def _bench_one(
     problem: str,
     n: int,
@@ -481,9 +475,7 @@ def bench_calls(
     if len(n_values) == 0:
         raise ValueError("n_values needs at least one size")
     if trials < 1:
-        raise ValueError("trials must be positive")
-    if solver not in _SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}")
+        raise ValueError(f"trials must be positive, got {trials}")
     if problem == "simon" and solver != "anneal":
         raise ValueError(f"solver {solver!r} applies only to problem 'bv'")
     rows = []

@@ -57,6 +57,10 @@ class TestBvBuilder:
                 assert spectrum.ground_states()[0] == a
                 assert spectrum.ground_energy == -a.popcount()
 
+    def test_bits_build_rejects_empty_hidden_string(self):
+        with pytest.raises(ValueError, match="got n=0"):
+            build_bv_qubo_from_bits([])
+
 
 class TestInequalityPenalty:
     def test_square_expansion_identity(self):

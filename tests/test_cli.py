@@ -149,7 +149,34 @@ class TestValidation:
             capsys, "build", "--problem", "simon", "--n", "4", "--j", "9"
         )
         assert code == 2
-        assert "--j" in err
+        assert "j must be in 1..4, got 9" in err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            ("build --problem bv --n 0 --a 0", "got n=0"),
+            ("solve --problem bv --n 0 --a 0", "got n=0"),
+            ("spectrum --problem bv --n 0 --a 0", "got n=0"),
+            ("solve --problem simon --n 1", "got n=1"),
+            ("solve --problem simon --n 4 --a 0", "got a=0"),
+            ("solve --problem bv --n 4 --a 16", "value 16 does not fit in 4 bits"),
+            ("build --problem simon --n 4 --j 9", "j must be in 1..4, got 9"),
+            ("solve --problem simon --n 4 --j-policy fixed --j 9", "j must be in 1..4, got 9"),
+            ("bench --problem simon --n 4 --j-policy fixed --j 9 --trials 1",
+             "j must be in 1..4, got 9"),
+            ("solve --problem simon --n 4 --budget 0", "budget must be positive, got 0"),
+            ("solve --problem bv --n 4 --sweeps 0", "sweeps must be positive, got 0"),
+            ("solve --problem simon --n 4 --restarts 0", "restarts must be positive, got 0"),
+            ("bench --problem bv --n 4 --trials 0", "trials must be positive, got 0"),
+            ("solve --problem bv --n 4 --t0 1 --t1 2", "t_initial=1.0, t_final=2.0"),
+        ],
+    )
+    def test_library_checks_exit_two(self, capsys, argv, named):
+        # Ranges are checked by the library code that reads the flag, not
+        # by RunConfig.validate; its ValueError still exits 2 with no output.
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2 and out == ""
+        assert named in err
 
     def test_unpaired_temperatures(self, capsys):
         code, _, err = run(

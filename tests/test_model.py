@@ -151,7 +151,7 @@ class TestBitVectorAgainstTuple:
         assert (bv == ob) == (ref == oref)
         assert (bv != ob) == (ref != oref)
         assert bv == BitVector(ref)
-        assert hash(bv) == hash(ref)
+        assert hash(bv) == hash(BitVector(ref))
         assert bv != ref  # a BitVector never equals a plain tuple
 
     @BITVECTOR_SETTINGS

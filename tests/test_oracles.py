@@ -61,6 +61,10 @@ class TestBvOracle:
         oracle.reveal_hidden_string()
         assert oracle.queries == 2
 
+    def test_rejects_empty_hidden_string(self):
+        with pytest.raises(ValueError, match="got n=0"):
+            BvOracle(BitVector.from_integer(0, 0))
+
     def test_rejects_length_mismatch(self):
         oracle = BvOracle(BitVector.from_integer(3, 2))
         with pytest.raises(ValueError):

@@ -350,7 +350,10 @@ class TestBenchCalls:
                 bench_calls(problem, [], trials=1)
 
     @pytest.mark.parametrize("problem, solver", [("bv", "magic"), ("simon", "exhaustive")])
-    def test_rejects_a_solver_before_any_trial(self, problem, solver):
-        with mock.patch.object(protocol, "_bench_one", side_effect=AssertionError):
+    def test_rejects_a_solver_before_any_query(self, problem, solver):
+        # An unknown solver is solve_bv's check, made before its first query;
+        # a solver for simon is bench_calls' own, made before any trial.
+        with mock.patch.object(BvOracle, "query", side_effect=AssertionError), \
+                mock.patch.object(SimonOracle, "query", side_effect=AssertionError):
             with pytest.raises(ValueError, match="solver"):
                 bench_calls(problem, [4], trials=1, solver=solver)
