@@ -24,6 +24,18 @@ flipped with an xor and handed to the callback as that bare int. Energies
 are compared exactly, as ints or the callback's own values, and so is an
 int or Fraction early-stop target; only a float target and the
 trajectory round energies to floats.
+
+Both visit loops keep per-visit interpreter work to what the dynamics
+need. A restart binds its generator's ``permutation`` and ``random`` and
+the schedule's ``temperature`` once; a sweep walks ``zip(order,
+uniforms)``, counts its n attempts up front, and on an early stop takes
+back the visits after the stopping one, found by its position in the
+order. The explicit loop updates the neighbours' fields on an accepted
+flip by branching on the bit instead of multiplying by a sign; the
+black-box loop flips into a local and keeps it only on accept, so a
+rejected flip costs no second xor. Costs are priced exactly as
+``exp(-(dE/den)/T)`` (or ``exp(-dE/T)``), so every draw, result and
+trajectory matches a plain loop that prices and counts visit by visit.
 """
 
 from __future__ import annotations
@@ -297,30 +309,35 @@ def anneal(
                 attempts += visits
                 sweep_bests.extend(batch_bests)
         else:
+            permutation, random, temperature = rng.permutation, rng.random, schedule.temperature
             for sweep in range(schedule.sweeps):
                 if done:
                     break
-                t = schedule.temperature(sweep)
+                t = temperature(sweep)
                 accept: dict[int, float] = {}
-                order = rng.permutation(n).tolist()
-                uniforms = rng.random(n).tolist()
-                for k, i in enumerate(order):
-                    de = field[i] if s[i] == 0 else -field[i]
-                    attempts += 1
+                order = permutation(n).tolist()
+                attempts += n
+                for i, u in zip(order, random(n).tolist()):
+                    de = -field[i] if s[i] else field[i]
                     if de > 0:
                         p = accept.get(de)
                         if p is None:
                             p = accept[de] = exp(-(de / den) / t)
-                        if uniforms[k] >= p:
+                        if u >= p:
                             continue
-                    delta = 1 - 2 * s[i]
-                    s[i] ^= 1
                     energy += de
-                    for jn, w in neighbors[i]:
-                        field[jn] += w * delta
+                    if s[i]:
+                        s[i] = 0
+                        for jn, w in neighbors[i]:
+                            field[jn] -= w
+                    else:
+                        s[i] = 1
+                        for jn, w in neighbors[i]:
+                            field[jn] += w
                     if energy < run_e:
                         run_e, run_bits = energy, s.copy()
                         if reaches_target(run_e):
+                            attempts -= n - 1 - order.index(i)  # the visits not made
                             done = True
                             break
                 sweep_bests.append(run_e)
@@ -457,33 +474,34 @@ def anneal_black_box(
         run_e, run_value = e_cur, value
         met = reaches_target(run_e)
         done = False
+        permutation, random, temperature = rng.permutation, rng.random, schedule.temperature
         for sweep in range(schedule.sweeps):
             if done:
                 break
-            t = schedule.temperature(sweep)
+            t = temperature(sweep)
             accept: dict = {}
-            order = rng.permutation(n_vars).tolist()
-            uniforms = rng.random(n_vars).tolist()
+            order = permutation(n_vars).tolist()
+            uniforms = random(n_vars).tolist()
             if met:  # the start state is at the target: one attempt, then stop
                 del order[1:]
                 done = True
-            for k, i in enumerate(order):
-                value ^= 1 << i
-                e_new = energy(value)
-                evaluations += 1
+            evaluations += len(order)
+            for i, u in zip(order, uniforms):
+                flipped = value ^ (1 << i)
+                e_new = energy(flipped)
                 de = e_new - e_cur
                 # Negated tests, so that a NaN cost (inf - inf) is rejected.
                 if not de <= 0:
                     p = accept.get(de)
                     if p is None:
                         p = accept[de] = exp(-de / t)
-                    if not uniforms[k] < p:
-                        value ^= 1 << i
+                    if not u < p:
                         continue
-                e_cur = e_new
+                value, e_cur = flipped, e_new
                 if e_new < run_e:
                     run_e, run_value = e_new, value
                     if reaches_target(run_e):
+                        evaluations -= len(order) - 1 - order.index(i)  # the visits not made
                         done = True
                         break
             sweep_bests.append(run_e)

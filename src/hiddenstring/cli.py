@@ -31,7 +31,9 @@ from .annealer import AnnealSchedule, _seeded_rng, _spawn_seed
 from .builders import build_bv_qubo_from_bits, build_simon_literal_qubo
 from .model import BitVector, QuboModel, exhaustive_solve
 from .oracles import BvOracle, SimonOracle, random_hidden_string
-from .protocol import _J_POLICIES, _MODES, _PROBLEMS, _SOLVERS, bench_calls, solve_bv, solve_simon
+from .protocol import (
+    _J_POLICIES, _MODES, _PROBLEMS, _SOLVERS, _check_sizes, bench_calls, solve_bv, solve_simon,
+)
 from .qubofile import QuboFormatError, export_qubo, import_qubo, model_from_dict, model_to_dict
 
 __all__ = ["RunConfig", "main", "entry_point"]
@@ -282,7 +284,10 @@ def _cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def _cmd_bench(cfg: RunConfig, args: argparse.Namespace) -> int:
     # One table per n, so a schedule override is sized to that n; rows are
-    # seeded per (seed, n, trial) and do not depend on the other sizes.
+    # seeded per (seed, n, trial) and do not depend on the other sizes. Every
+    # size is checked first: before an override is sized to it, and before
+    # the trials of the sizes ahead of it run.
+    _check_sizes(cfg.problem, cfg.n_list())
     rows = [
         row
         for n in cfg.n_list()

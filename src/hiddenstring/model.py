@@ -149,9 +149,19 @@ class VarKind(enum.Enum):
     PLAIN = "x"
 
 
+# A small int per kind, so that a label's hash does not depend on the
+# process: string hashes are salted per process, and a pickled label keeps
+# the hash it was built with.
+_KIND_CODES = {kind: code for code, kind in enumerate(VarKind)}
+
+
 @dataclass(frozen=True)
 class VarLabel:
-    """A model variable name: a kind plus an index (unused for GW/GY)."""
+    """A model variable name: a kind plus an index (unused for GW/GY).
+
+    The hash is computed once, at construction: models key every term by
+    label, so building or compiling one hashes each label many times.
+    """
 
     kind: VarKind
     index: int = 0
@@ -161,6 +171,13 @@ class VarLabel:
             raise ValueError("label index must be non-negative")
         if self.kind in (VarKind.GW, VarKind.GY) and self.index != 0:
             raise ValueError(f"{self.kind.value} labels carry no index")
+        code = _KIND_CODES.get(self.kind)
+        if code is None:
+            raise TypeError(f"label kind must be a VarKind, got {self.kind!r}")
+        object.__setattr__(self, "_hash", hash((code, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def w(cls, i: int) -> "VarLabel":
@@ -207,6 +224,8 @@ def _as_coefficient(value) -> Fraction:
         raise TypeError(
             f"coefficients must be exact (int, Fraction or string), got float {value!r}"
         )
+    if type(value) is Fraction:
+        return value  # immutable, so shared as it is
     return Fraction(value)
 
 
@@ -271,8 +290,11 @@ class QuboModel:
         pos = {lab: k for k, lab in enumerate(self.labels)}
         h = [0] * self.n_vars
         for lab, c in self.linear.items():
-            h[pos[lab]] = int(c * den)
-        couplers = tuple((pos[a], pos[b], int(c * den)) for (a, b), c in self.quadratic.items())
+            h[pos[lab]] = c.numerator * (den // c.denominator)
+        couplers = tuple(
+            (pos[a], pos[b], c.numerator * (den // c.denominator))
+            for (a, b), c in self.quadratic.items()
+        )
         return den, tuple(h), couplers
 
     def position(self, label: VarLabel) -> int:

@@ -36,6 +36,14 @@ def _check_width(n: int) -> None:
         raise ValueError(f"hidden strings need at least one bit, got n={n}")
 
 
+def _check_simon_width(n: int) -> None:
+    """The widths a :class:`SimonOracle` table can be built for."""
+    if not 2 <= n <= SIMON_TABLE_LIMIT:
+        raise ValueError(
+            f"explicit-table construction supports 2 <= n <= {SIMON_TABLE_LIMIT}, got n={n}"
+        )
+
+
 def random_hidden_string(n: int, rng: np.random.Generator, *, nonzero: bool = False) -> BitVector:
     """Draw a uniform n-bit hidden string (optionally excluding zero).
 
@@ -91,10 +99,7 @@ class SimonOracle:
         if not isinstance(a, BitVector):
             a = BitVector(a)
         n = len(a)
-        if not 2 <= n <= SIMON_TABLE_LIMIT:
-            raise ValueError(
-                f"explicit-table construction supports 2 <= n <= {SIMON_TABLE_LIMIT}, got n={n}"
-            )
+        _check_simon_width(n)
         if a.to_integer() == 0:
             raise ValueError("the hidden string of a 2-to-1 oracle must be nonzero, got a=0")
         self._a = a
@@ -128,7 +133,13 @@ class SimonOracle:
         return self._queries
 
     def query(self, w: BitVector) -> int:
-        """The (n-1)-bit label of w's coset; counts one query."""
+        """The (n-1)-bit label of w's coset; counts one query.
+
+        Every label a solve reads comes through here: the benchmark's tracer
+        wraps this method to count queries by purpose and checks that the
+        counts add up to the oracle's own, so no path may read the table
+        without it.
+        """
         if len(w) != self.n:
             raise ValueError(f"query has {len(w)} bits, oracle expects {self.n}")
         self._queries += 1

@@ -32,7 +32,7 @@ from .builders import _check_j, build_bv_qubo, build_simon_literal_qubo, coupled
 # attribute of this module: benchmarks/tracer.py wraps it by this name.
 from .builders import simon_coupled_energy  # noqa: F401
 from .model import BitVector, _compile, exhaustive_solve
-from .oracles import BvOracle, SimonOracle, random_hidden_string
+from .oracles import BvOracle, SimonOracle, _check_simon_width, _check_width, random_hidden_string
 
 __all__ = [
     "BV_PROBES",
@@ -449,6 +449,16 @@ def _bench_one(
     )
 
 
+def _check_sizes(problem: str, n_values: Sequence[int]) -> None:
+    """Reject every size in ``n_values`` that a trial of ``problem`` would reject."""
+    if len(n_values) == 0:
+        raise ValueError("n_values needs at least one size")
+    for n in n_values:
+        _check_width(n)
+        if problem == "simon":
+            _check_simon_width(n)
+
+
 def bench_calls(
     problem: str,
     n_values: Sequence[int],
@@ -468,12 +478,12 @@ def bench_calls(
     row per entry of ``n_values``: success and correctness counts plus
     mean/median/population stdev of the call and query counters over its
     trials. Each row is seeded by (seed, n, trial) alone, so it does not
-    depend on the other entries.
+    depend on the other entries. Every size is checked before the first
+    trial runs.
     """
     if problem not in _PROBLEMS:
         raise ValueError(f"unknown problem {problem!r}")
-    if len(n_values) == 0:
-        raise ValueError("n_values needs at least one size")
+    _check_sizes(problem, n_values)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if problem == "simon" and solver != "anneal":

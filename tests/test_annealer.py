@@ -216,6 +216,73 @@ def test_exact_target_stops_only_at_the_ground(kernel):
     assert above == {"diagonal": 21, "sequential": 21, "black box": 13}[kernel]
 
 
+def reference_metropolis(model, schedule, seed, target, start_evaluations):
+    """Plain Metropolis loop with the annealers' draws, priced by qubo_energy.
+
+    Counts one evaluation per flip attempt, plus ``start_evaluations`` per
+    restart; stops after the visit whose new best energy is at most
+    ``target``. Returns ``(best bits, best energy, restarts used,
+    evaluations)``.
+    """
+    n = model.n_vars
+    best_e = best_bits = None
+    evaluations = 0
+    for r in range(schedule.restarts):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, r)))
+        s = rng.integers(0, 2, size=n).tolist()
+        e = qubo_energy(model, s)
+        evaluations += start_evaluations
+        run_e, run_bits = e, list(s)
+        done = False
+        for sweep in range(schedule.sweeps):
+            t = schedule.temperature(sweep)
+            order, uniforms = rng.permutation(n).tolist(), rng.random(n).tolist()
+            for i, u in zip(order, uniforms):
+                s[i] ^= 1
+                de = qubo_energy(model, s) - e
+                evaluations += 1
+                if de > 0 and not u < math.exp(-float(de) / t):
+                    s[i] ^= 1
+                    continue
+                e += de
+                if e < run_e:
+                    run_e, run_bits = e, list(s)
+                    if run_e <= target:
+                        done = True
+                        break
+            if done:
+                break
+        if best_e is None or run_e < best_e or (run_e == best_e and run_bits < best_bits):
+            best_e, best_bits = run_e, run_bits
+        if done:
+            break
+    return best_bits, best_e, r + 1, evaluations
+
+
+@pytest.mark.parametrize("kernel", ["sequential", "black box"])
+def test_target_fired_mid_sweep_counts_only_the_visits_made(kernel):
+    # A coupled model on a cold, short schedule: the ground is reached part
+    # way through a sweep, and in some seeds only after the first restart.
+    model = random_tenths_model(np.random.default_rng(25), 10)
+    ground = exhaustive_solve(model).ground_energy
+    sched = AnnealSchedule(sweeps=3, t_initial=0.5, t_final=0.1, restarts=8)
+    start_evaluations = int(kernel == "black box")
+    mid_sweep_in_a_later_restart = False
+    for seed in range(4):
+        if kernel == "black box":
+            result = anneal_black_box(lambda v: qubo_energy(model, BitVector.from_integer(v, 10)),
+                                      10, sched, seed=seed, target_energy=ground)
+        else:
+            result = anneal(model, sched, seed=seed, target_energy=ground)
+        ref = reference_metropolis(model, sched, seed, ground, start_evaluations)
+        assert (list(result.best_assignment.bits), result.best_energy, result.restarts_used,
+                result.energy_evaluations) == ref
+        assert result.best_energy == ground
+        attempts = result.energy_evaluations - start_evaluations * result.restarts_used
+        mid_sweep_in_a_later_restart |= result.restarts_used > 1 and attempts % 10 != 0
+    assert mid_sweep_in_a_later_restart
+
+
 class TestAnnealBlackBox:
     def test_matches_explicit_anneal_on_wrapped_model(self):
         # same rng stream and exact float arithmetic: identical outcome

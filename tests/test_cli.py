@@ -178,6 +178,27 @@ class TestValidation:
         assert code == 2 and out == ""
         assert named in err
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            # A schedule override is sized to n only after n is checked.
+            ("bench --problem bv --n 0 --trials 1 --restarts 2",
+             "hidden strings need at least one bit, got n=0"),
+            # A bad size late in the list stops the run before any trial.
+            ("bench --problem simon --n 8,1 --trials 20",
+             "supports 2 <= n <= 20, got n=1"),
+            ("bench --problem bv --n 4,0 --trials 3 --restarts 2", "got n=0"),
+        ],
+    )
+    def test_bench_checks_every_size_before_any_trial(self, capsys, monkeypatch, argv, named):
+        trials = []
+        monkeypatch.setattr("hiddenstring.protocol._bench_one",
+                            lambda *args, **kwargs: trials.append(args))
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2 and out == ""
+        assert named in err
+        assert trials == []
+
     def test_unpaired_temperatures(self, capsys):
         code, _, err = run(
             capsys, "solve", "--problem", "bv", "--n", "4", "--a", "1", "--t0", "2.0"

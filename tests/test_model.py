@@ -1,12 +1,19 @@
 """Model layer: bit vectors, labels, exact energies, conversions, spectra."""
 
+import dataclasses
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hiddenstring
 from hiddenstring.model import (
     EXHAUSTIVE_CAP,
     BitVector,
@@ -202,6 +209,40 @@ class TestVarLabel:
     def test_gw_carries_no_index(self):
         with pytest.raises(ValueError):
             VarLabel(VarKind.GW, 1)
+
+    def test_kind_must_be_a_var_kind(self):
+        with pytest.raises(TypeError, match="VarKind"):
+            VarLabel("w", 1)
+
+    def test_fields_are_kind_and_index(self):
+        # The cached hash is not a field: equality, repr and asdict ignore it.
+        assert tuple(f.name for f in dataclasses.fields(VarLabel)) == ("kind", "index")
+        assert repr(VarLabel.w(3)) == "VarLabel(kind=<VarKind.W: 'w'>, index=3)"
+
+    def test_label_pickled_under_another_hash_seed_is_found_as_a_key(self):
+        # String hashes are salted per process, and a pickled label keeps
+        # the hash it was built with, so the hash must not depend on strings.
+        labels = [VarLabel.w(3), VarLabel.y(0), VarLabel.gw(), VarLabel.gy(), VarLabel.plain(7)]
+        script = (
+            "import pickle, sys\n"
+            "from hiddenstring.model import VarLabel\n"
+            "labels = [VarLabel.w(3), VarLabel.y(0), VarLabel.gw(), VarLabel.gy(),"
+            " VarLabel.plain(7)]\n"
+            "sys.stdout.buffer.write(pickle.dumps(labels))\n"
+        )
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        package_root = str(Path(hiddenstring.__file__).parents[1])
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [package_root,
+                                                            os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             check=True, timeout=60).stdout
+        unpickled = pickle.loads(out)
+        assert unpickled == labels
+        fresh = {lab: k for k, lab in enumerate(labels)}
+        for k, lab in enumerate(unpickled):
+            assert fresh[lab] == k
+            assert {lab: k}[labels[k]] == k
 
 
 class TestModelConstruction:

@@ -349,6 +349,20 @@ class TestBenchCalls:
             with pytest.raises(ValueError, match="n_values"):
                 bench_calls(problem, [], trials=1)
 
+    @pytest.mark.parametrize(
+        "problem, n_values, named",
+        [
+            ("bv", [4, 0], "at least one bit, got n=0"),
+            ("simon", [8, 1], "2 <= n <= 20, got n=1"),
+            ("simon", [4, 21], "2 <= n <= 20, got n=21"),
+            ("simon", [4, 0], "at least one bit, got n=0"),
+        ],
+    )
+    def test_rejects_every_bad_size_before_any_trial(self, problem, n_values, named):
+        with mock.patch.object(protocol, "_bench_one", side_effect=AssertionError):
+            with pytest.raises(ValueError, match=named):
+                bench_calls(problem, n_values, trials=1)
+
     @pytest.mark.parametrize("problem, solver", [("bv", "magic"), ("simon", "exhaustive")])
     def test_rejects_a_solver_before_any_query(self, problem, solver):
         # An unknown solver is solve_bv's check, made before its first query;
