@@ -287,7 +287,7 @@ def _cmd_bench(cfg: RunConfig, args: argparse.Namespace) -> int:
     # seeded per (seed, n, trial) and do not depend on the other sizes. Every
     # size is checked first: before an override is sized to it, and before
     # the trials of the sizes ahead of it run.
-    _check_sizes(cfg.problem, cfg.n_list())
+    _check_sizes(cfg.problem, cfg.n_list(), cfg.j_policy, cfg.j)
     rows = [
         row
         for n in cfg.n_list()

@@ -7,8 +7,9 @@ through the explicitly named ``reveal_*`` accessors.
 The parity oracle computes ``f(w) = (sum_k w_k a_k) mod 2``. The 2-to-1
 oracle maps n-bit inputs to (n-1)-bit labels with ``g(w) = g(y)`` exactly
 when ``w XOR y`` is 0 or ``a``; since only the collision structure is
-promised, the concrete labels are a seeded random bijection from the 2^(n-1)
-cosets ``{w, w XOR a}`` onto the (n-1)-bit values.
+promised, the concrete labels are a seeded bijection from the 2^(n-1)
+cosets ``{w, w XOR a}`` onto the (n-1)-bit values, computed per query from
+``a`` rather than stored, so the oracle's size is not bounded by memory.
 """
 
 from __future__ import annotations
@@ -21,13 +22,10 @@ __all__ = [
     "BvOracle",
     "SimonOracle",
     "random_hidden_string",
-    "SIMON_TABLE_LIMIT",
     "COLLISION_COUNT_LIMIT",
 ]
 
-# The 2-to-1 oracle is built as an explicit table with 2^n entries.
-SIMON_TABLE_LIMIT = 20
-# Collision-pair counting touches every fiber of the table.
+# The test-only label enumerations compute all 2^n labels.
 COLLISION_COUNT_LIMIT = 16
 
 
@@ -37,11 +35,9 @@ def _check_width(n: int) -> None:
 
 
 def _check_simon_width(n: int) -> None:
-    """The widths a :class:`SimonOracle` table can be built for."""
-    if not 2 <= n <= SIMON_TABLE_LIMIT:
-        raise ValueError(
-            f"explicit-table construction supports 2 <= n <= {SIMON_TABLE_LIMIT}, got n={n}"
-        )
+    """The widths a :class:`SimonOracle` can have: its labels need n - 1 >= 1 bits."""
+    if n < 2:
+        raise ValueError(f"a 2-to-1 oracle needs n >= 2, got n={n}")
 
 
 def random_hidden_string(n: int, rng: np.random.Generator, *, nonzero: bool = False) -> BitVector:
@@ -89,10 +85,11 @@ class BvOracle:
 class SimonOracle:
     """2-to-1 oracle with hidden xor mask ``a != 0``.
 
-    Labels are assigned by enumerating the canonical coset representatives
-    ``min(w, w XOR a)`` in ascending order and pairing them with a seeded
-    random permutation of the (n-1)-bit values, which is a bijection by
-    counting. Construction is deterministic for fixed (a, seed).
+    A label is computed per query, in constant time and memory at any n.
+    The smaller member of ``{w, w XOR a}`` has a 0 at the top set bit of
+    ``a``; dropping that bit gives the coset's (n-1)-bit index, and the
+    bijection ``((index XOR c) * odd) mod 2^(n-1)``, with ``c`` and the odd
+    ``odd`` drawn from ``seed``, maps it to the label.
     """
 
     def __init__(self, a: BitVector, seed: int = 0):
@@ -100,29 +97,21 @@ class SimonOracle:
             a = BitVector(a)
         n = len(a)
         _check_simon_width(n)
-        if a.to_integer() == 0:
+        self._a = a.to_integer()
+        if self._a == 0:
             raise ValueError("the hidden string of a 2-to-1 oracle must be nonzero, got a=0")
-        self._a = a
+        self._n = n
         self._seed = int(seed)
         self._queries = 0
-        self._table = self._build_table(n, a.to_integer(), self._seed)
-
-    @staticmethod
-    def _build_table(n: int, a_int: int, seed: int) -> np.ndarray:
-        w = np.arange(1 << n, dtype=np.uint64)
-        partner = w ^ np.uint64(a_int)
-        rep_mask = w < partner  # exactly one representative per coset
-        rng = np.random.default_rng(seed)
-        labels = rng.permutation(1 << (n - 1)).astype(np.uint32)
-        table = np.empty(1 << n, dtype=np.uint32)
-        table[w[rep_mask]] = labels
-        table[partner[rep_mask]] = labels
-        table.flags.writeable = False
-        return table
+        self._t = self._a.bit_length() - 1
+        self._mask = (1 << (n - 1)) - 1
+        rng = np.random.default_rng(self._seed)
+        self._c, odd = (int.from_bytes(rng.bytes(n), "little") & self._mask for _ in range(2))
+        self._odd = odd | 1
 
     @property
     def n(self) -> int:
-        return len(self._a)
+        return self._n
 
     @property
     def seed(self) -> int:
@@ -132,32 +121,38 @@ class SimonOracle:
     def queries(self) -> int:
         return self._queries
 
+    def _label(self, v: int) -> int:
+        r = v if v < v ^ self._a else v ^ self._a
+        index = r - (r >> (self._t + 1) << self._t)
+        return ((index ^ self._c) * self._odd) & self._mask
+
     def query(self, w: BitVector) -> int:
         """The (n-1)-bit label of w's coset; counts one query.
 
         Every label a solve reads comes through here: the benchmark's tracer
         wraps this method to count queries by purpose and checks that the
-        counts add up to the oracle's own, so no path may read the table
+        counts add up to the oracle's own, so no solve may compute a label
         without it.
         """
-        if len(w) != self.n:
-            raise ValueError(f"query has {len(w)} bits, oracle expects {self.n}")
+        if len(w) != self._n:
+            raise ValueError(f"query has {len(w)} bits, oracle expects {self._n}")
         self._queries += 1
-        return int(self._table[w.to_integer()])
+        return self._label(w.to_integer())
 
     def count_collision_pairs(self) -> int:
         """Number of unordered pairs w != y with equal labels, via fiber sizes."""
-        if self.n > COLLISION_COUNT_LIMIT:
-            raise ValueError(
-                f"collision counting supports n <= {COLLISION_COUNT_LIMIT}, got n={self.n}"
-            )
-        fibers = np.bincount(self._table)
+        fibers = np.bincount(self.reveal_label_table())
         return int((fibers * (fibers - 1) // 2).sum())
 
     def reveal_hidden_string(self) -> BitVector:
         """Test-only accessor; protocol code must not call this."""
-        return self._a
+        return BitVector._of(self._a, self._n)
 
     def reveal_label_table(self) -> np.ndarray:
-        """Test-only accessor: the full label table, without counting queries."""
-        return self._table.copy()
+        """Test-only accessor: every input's label, without counting queries."""
+        if self._n > COLLISION_COUNT_LIMIT:
+            raise ValueError(
+                f"label enumeration supports n <= {COLLISION_COUNT_LIMIT}, got n={self._n}"
+            )
+        size = 1 << self._n
+        return np.fromiter(map(self._label, range(size)), dtype=np.uint32, count=size)

@@ -354,6 +354,7 @@ def solve_simon(
     success = False
     recovered: BitVector | None = None
     literal_model = None
+    mask = (1 << n) - 1
 
     call = 0
     while aqc_calls < budget and not success:
@@ -375,9 +376,9 @@ def solve_simon(
                 literal_model = build_simon_literal_qubo(n, j_call)
             sched = schedule if schedule is not None else _literal_schedule(n)
             result = anneal(literal_model, sched, seed=_spawn_seed(call_seed_pair))
-        bits = result.best_assignment
-        w = BitVector(bits[:n])
-        y = BitVector(bits[n : 2 * n])
+        v = result.best_assignment.to_integer()
+        w = BitVector._of(v & mask, n)
+        y = BitVector._of(v >> n & mask, n)
         aqc_calls += result.restarts_used
 
         accepted = w != y and check_collision(oracle, w, y)
@@ -449,14 +450,16 @@ def _bench_one(
     )
 
 
-def _check_sizes(problem: str, n_values: Sequence[int]) -> None:
-    """Reject every size in ``n_values`` that a trial of ``problem`` would reject."""
+def _check_sizes(problem: str, n_values: Sequence[int], j_policy: str, j: int | None) -> None:
+    """Reject every size in ``n_values`` (or fixed ``j`` past it) that a trial would reject."""
     if len(n_values) == 0:
         raise ValueError("n_values needs at least one size")
     for n in n_values:
         _check_width(n)
         if problem == "simon":
             _check_simon_width(n)
+            if j_policy == "fixed" and j is not None:
+                _check_j(j, n)
 
 
 def bench_calls(
@@ -483,7 +486,7 @@ def bench_calls(
     """
     if problem not in _PROBLEMS:
         raise ValueError(f"unknown problem {problem!r}")
-    _check_sizes(problem, n_values)
+    _check_sizes(problem, n_values, j_policy, j)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if problem == "simon" and solver != "anneal":

@@ -186,8 +186,11 @@ class TestValidation:
              "hidden strings need at least one bit, got n=0"),
             # A bad size late in the list stops the run before any trial.
             ("bench --problem simon --n 8,1 --trials 20",
-             "supports 2 <= n <= 20, got n=1"),
+             "a 2-to-1 oracle needs n >= 2, got n=1"),
             ("bench --problem bv --n 4,0 --trials 3 --restarts 2", "got n=0"),
+            # So does a fixed j past a later size.
+            ("bench --problem simon --n 8,4 --j-policy fixed --j 6 --trials 20",
+             "j must be in 1..4, got 6"),
         ],
     )
     def test_bench_checks_every_size_before_any_trial(self, capsys, monkeypatch, argv, named):

@@ -8,11 +8,11 @@ import pytest
 from hiddenstring.model import BitVector
 from hiddenstring.oracles import (
     COLLISION_COUNT_LIMIT,
-    SIMON_TABLE_LIMIT,
     BvOracle,
     SimonOracle,
     random_hidden_string,
 )
+from hiddenstring.protocol import verify_simon
 
 
 def brute_force_collision_pairs(table):
@@ -79,9 +79,6 @@ class TestSimonOracle:
     def test_rejects_out_of_range_sizes(self):
         with pytest.raises(ValueError):
             SimonOracle(BitVector.from_integer(1, 1))
-        too_big = BitVector.from_integer(1, SIMON_TABLE_LIMIT + 1)
-        with pytest.raises(ValueError):
-            SimonOracle(too_big)
 
     def test_labels_fit_in_n_minus_1_bits(self):
         oracle = SimonOracle(BitVector.from_integer(0b101, 3), seed=1)
@@ -100,6 +97,33 @@ class TestSimonOracle:
                 for y in range(1 << n):
                     collide = table[w] == table[y]
                     assert collide == ((w ^ y) in (0, a_int))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_every_mask_labels_each_coset_once(self, n):
+        # Every nonzero a, so a = 1 and a = 2^(n-1) (top set bit at either
+        # end) are both covered: each (n-1)-bit label is hit exactly twice,
+        # by some w and w ^ a.
+        v = np.arange(1 << n)
+        for a in range(1, 1 << n):
+            for seed in (0, 1):
+                table = SimonOracle(BitVector.from_integer(a, n), seed=seed).reveal_label_table()
+                assert (table[v] == table[v ^ a]).all()
+                assert (np.bincount(table, minlength=1 << (n - 1)) == 2).all()
+
+    @pytest.mark.parametrize("n", [21, 64, 256])
+    def test_wide_oracles_keep_the_promise(self, n):
+        rng = np.random.default_rng(n)
+        a = random_hidden_string(n, rng, nonzero=True)
+        oracle = SimonOracle(a, seed=n)
+        for _ in range(200):
+            w = random_hidden_string(n, rng)
+            d = random_hidden_string(n, rng, nonzero=True)
+            label = oracle.query(w)
+            assert 0 <= label < 1 << (n - 1)
+            assert oracle.query(w ^ a) == label
+            assert (oracle.query(w ^ d) == label) == (d == a)
+        assert verify_simon(oracle, a, seed=1)
+        assert not verify_simon(oracle, a ^ BitVector.from_integer(1, n), seed=1)
 
     def test_collision_pair_count(self):
         rng = np.random.default_rng(17)
@@ -121,6 +145,12 @@ class TestSimonOracle:
         oracle = SimonOracle(a)
         with pytest.raises(ValueError):
             oracle.count_collision_pairs()
+
+    def test_label_table_size_limit(self):
+        oracle = SimonOracle(BitVector.from_integer(1, COLLISION_COUNT_LIMIT + 1))
+        with pytest.raises(ValueError, match=f"got n={COLLISION_COUNT_LIMIT + 1}"):
+            oracle.reveal_label_table()
+        assert oracle.queries == 0
 
     def test_same_seed_same_labels(self):
         a = BitVector.from_integer(0b0110, 4)

@@ -350,18 +350,19 @@ class TestBenchCalls:
                 bench_calls(problem, [], trials=1)
 
     @pytest.mark.parametrize(
-        "problem, n_values, named",
+        "problem, n_values, options, named",
         [
-            ("bv", [4, 0], "at least one bit, got n=0"),
-            ("simon", [8, 1], "2 <= n <= 20, got n=1"),
-            ("simon", [4, 21], "2 <= n <= 20, got n=21"),
-            ("simon", [4, 0], "at least one bit, got n=0"),
+            ("bv", [4, 0], {}, "at least one bit, got n=0"),
+            ("simon", [8, 1], {}, "needs n >= 2, got n=1"),
+            ("simon", [4, 0], {}, "at least one bit, got n=0"),
+            # A fixed j past a later size stops the run before the first size's trials.
+            ("simon", [8, 4], {"j_policy": "fixed", "j": 6}, r"j must be in 1\.\.4, got 6"),
         ],
     )
-    def test_rejects_every_bad_size_before_any_trial(self, problem, n_values, named):
+    def test_rejects_every_bad_size_before_any_trial(self, problem, n_values, options, named):
         with mock.patch.object(protocol, "_bench_one", side_effect=AssertionError):
             with pytest.raises(ValueError, match=named):
-                bench_calls(problem, n_values, trials=1)
+                bench_calls(problem, n_values, trials=1, **options)
 
     @pytest.mark.parametrize("problem, solver", [("bv", "magic"), ("simon", "exhaustive")])
     def test_rejects_a_solver_before_any_query(self, problem, solver):
