@@ -26,16 +26,22 @@ int or Fraction early-stop target; only a float target and the
 trajectory round energies to floats.
 
 Both visit loops keep per-visit interpreter work to what the dynamics
-need. A restart binds its generator's ``permutation`` and ``random`` and
-the schedule's ``temperature`` once; a sweep walks ``zip(order,
-uniforms)``, counts its n attempts up front, and on an early stop takes
-back the visits after the stopping one, found by its position in the
-order. The explicit loop updates the neighbours' fields on an accepted
-flip by branching on the bit instead of multiplying by a sign; the
-black-box loop flips into a local and keeps it only on accept, so a
-rejected flip costs no second xor. Costs are priced exactly as
-``exp(-(dE/den)/T)`` (or ``exp(-dE/T)``), so every draw, result and
-trajectory matches a plain loop that prices and counts visit by visit.
+need. A restart binds its generator's ``shuffle`` and ``random`` and the
+schedule's ``temperature`` once, and makes its draw buffers once: a list
+of the n visit targets (variable indices, or in the black box their bit
+masks) and one float array. A sweep shuffles a copy of the list in place
+for its visit order and refills the array with ``random(out=...)`` for
+its uniforms. These are draw for draw what ``permutation(n)`` and
+``random(n)`` draw, at less fixed numpy cost per sweep. The sweep walks
+``zip(order, uniforms)``, counts its n attempts up front, and on an early
+stop takes back the visits after the stopping one, found by its position
+in the order. The explicit loop updates the neighbours' fields on an
+accepted flip by branching on the bit instead of multiplying by a sign;
+the black-box loop xors the visited bit's mask into a local and keeps it
+only on accept, so a rejected flip costs no second xor. Costs are priced
+exactly as ``exp(-(dE/den)/T)`` (or ``exp(-dE/T)``), so every draw,
+result and trajectory matches a plain loop that prices and counts visit
+by visit.
 """
 
 from __future__ import annotations
@@ -309,15 +315,18 @@ def anneal(
                 attempts += visits
                 sweep_bests.extend(batch_bests)
         else:
-            permutation, random, temperature = rng.permutation, rng.random, schedule.temperature
+            shuffle, random, temperature = rng.shuffle, rng.random, schedule.temperature
+            indices, uniforms = list(range(n)), np.empty(n)
             for sweep in range(schedule.sweeps):
                 if done:
                     break
                 t = temperature(sweep)
                 accept: dict[int, float] = {}
-                order = permutation(n).tolist()
+                order = indices.copy()
+                shuffle(order)
+                random(out=uniforms)
                 attempts += n
-                for i, u in zip(order, random(n).tolist()):
+                for i, u in zip(order, uniforms.tolist()):
                     de = -field[i] if s[i] else field[i]
                     if de > 0:
                         p = accept.get(de)
@@ -447,7 +456,11 @@ def anneal_black_box(
     assumed: each restart evaluates its start state once, then every flip
     attempt costs one callback evaluation of the flipped state.
     ``energy_evaluations`` counts callback calls, ``restarts_used * (1 +
-    flips attempted)`` for a run that does not stop early. The callback
+    flips attempted)`` for a run that does not stop early. Each sweep
+    shuffles a copy of the variables' bit masks ``1 << k`` into its visit
+    order and refills one buffer with a uniform per visit: the draws of
+    ``permutation(n_vars)`` then ``random(n_vars)``, so on the explicit
+    model's energy it runs the dynamics of :func:`anneal`. The callback
     receives the state as a plain int ``v`` with ``0 <= v < 2**n_vars``,
     whose bit k is variable k; ``best_assignment`` is the
     :class:`BitVector` of the best such int.
@@ -464,7 +477,7 @@ def anneal_black_box(
     after each sweep as a float.
     """
     if n_vars < 1:
-        raise ValueError("need at least one variable")
+        raise ValueError(f"need at least one variable, got n_vars={n_vars}")
     exp = math.exp
 
     def restart(rng, start, reaches_target, sweep_bests):
@@ -474,20 +487,22 @@ def anneal_black_box(
         run_e, run_value = e_cur, value
         met = reaches_target(run_e)
         done = False
-        permutation, random, temperature = rng.permutation, rng.random, schedule.temperature
+        shuffle, random, temperature = rng.shuffle, rng.random, schedule.temperature
+        masks, uniforms = [1 << i for i in range(n_vars)], np.empty(n_vars)
         for sweep in range(schedule.sweeps):
             if done:
                 break
             t = temperature(sweep)
             accept: dict = {}
-            order = permutation(n_vars).tolist()
-            uniforms = random(n_vars).tolist()
+            order = masks.copy()
+            shuffle(order)
+            random(out=uniforms)
             if met:  # the start state is at the target: one attempt, then stop
                 del order[1:]
                 done = True
             evaluations += len(order)
-            for i, u in zip(order, uniforms):
-                flipped = value ^ (1 << i)
+            for bit, u in zip(order, uniforms.tolist()):
+                flipped = value ^ bit
                 e_new = energy(flipped)
                 de = e_new - e_cur
                 # Negated tests, so that a NaN cost (inf - inf) is rejected.
@@ -501,7 +516,7 @@ def anneal_black_box(
                 if e_new < run_e:
                     run_e, run_value = e_new, value
                     if reaches_target(run_e):
-                        evaluations -= len(order) - 1 - order.index(i)  # the visits not made
+                        evaluations -= len(order) - 1 - order.index(bit)  # the visits not made
                         done = True
                         break
             sweep_bests.append(run_e)

@@ -282,11 +282,11 @@ def _coupled_objective(oracle: SimonOracle, j: int):
         try:
             gw = labels[w]
         except KeyError:
-            gw = labels[w] = oracle.query(BitVector.from_integer(w, n))
+            gw = labels[w] = oracle.query(BitVector._of(w, n))
         try:
             gy = labels[y]
         except KeyError:
-            gy = labels[y] = oracle.query(BitVector.from_integer(y, n))
+            gy = labels[y] = oracle.query(BitVector._of(y, n))
         return (gw != gy) + penalty[v & sel]
 
     return energy

@@ -79,7 +79,7 @@ class TestDefaultSchedule:
         assert default_schedule(model).t_initial == 1.0
 
     def test_empty_model_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot build a schedule for an empty model"):
             default_schedule(QuboModel(()))
 
 
@@ -175,8 +175,10 @@ class TestAnneal:
         assert result.energy_evaluations < 8 * 400 * 6
 
     def test_empty_model_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot anneal an empty model"):
             anneal(QuboModel(()), AnnealSchedule(1, 1.0, 1.0))
+        with pytest.raises(ValueError, match="cannot build a schedule for an empty model"):
+            anneal(QuboModel(()))
 
     def test_every_target_type_stops_where_the_float_target_does(self):
         # Ten biases of -1/10: the floor -1 is exact, and so is its float.
@@ -216,12 +218,46 @@ def test_exact_target_stops_only_at_the_ground(kernel):
     assert above == {"diagonal": 21, "sequential": 21, "black box": 13}[kernel]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 14, 16, 33, 128, 256])
+def test_sweep_draws_are_permutation_then_random(n):
+    """The visit loops' draws are numpy's ``permutation(n)`` then ``random(n)``.
+
+    The sequential and black-box loops shuffle a copy of a list (indices or
+    bit masks) and refill one float buffer each sweep; the diagonal kernel
+    shuffles a row of ``arange(n)`` and fills a row of uniforms in place.
+    Every golden rests on these drawing one stream.
+    """
+    sweeps = 50
+    for seed in range(20):
+        plain, indexed, masked, rows = (annealer._seeded_rng(seed, 0) for _ in range(4))
+        for rng in (plain, indexed, masked, rows):
+            rng.integers(0, 2, size=n)  # the restart's start state
+        indices, masks, uniforms = list(range(n)), [1 << i for i in range(n)], np.empty(n)
+        orders, draws = np.tile(np.arange(n), (sweeps, 1)), np.empty((sweeps, n))
+        expected = []
+        for m in range(sweeps):
+            expected.append((plain.permutation(n).tolist(), plain.random(n).tolist()))
+            order = indices.copy()
+            indexed.shuffle(order)
+            indexed.random(out=uniforms)
+            assert (order, uniforms.tolist()) == expected[-1], (seed, m)
+            order = masks.copy()
+            masked.shuffle(order)
+            masked.random(out=uniforms)
+            assert ([b.bit_length() - 1 for b in order], uniforms.tolist()) == expected[-1]
+            rows.shuffle(orders[m])
+            rows.random(out=draws[m])
+        assert list(zip(orders.tolist(), draws.tolist())) == expected, seed
+
+
 def reference_metropolis(model, schedule, seed, target, start_evaluations):
     """Plain Metropolis loop with the annealers' draws, priced by qubo_energy.
 
     Counts one evaluation per flip attempt, plus ``start_evaluations`` per
     restart; stops after the visit whose new best energy is at most
-    ``target``. Returns ``(best bits, best energy, restarts used,
+    ``target``. A start state already at the target stops the run before
+    any visit, or after one flip attempt when ``start_evaluations`` is set
+    (the black box). Returns ``(best bits, best energy, restarts used,
     evaluations)``.
     """
     n = model.n_vars
@@ -233,10 +269,15 @@ def reference_metropolis(model, schedule, seed, target, start_evaluations):
         e = qubo_energy(model, s)
         evaluations += start_evaluations
         run_e, run_bits = e, list(s)
-        done = False
+        met = e <= target
+        done = met and not start_evaluations
         for sweep in range(schedule.sweeps):
+            if done:
+                break
             t = schedule.temperature(sweep)
             order, uniforms = rng.permutation(n).tolist(), rng.random(n).tolist()
+            if met:
+                order, done = order[:1], True
             for i, u in zip(order, uniforms):
                 s[i] ^= 1
                 de = qubo_energy(model, s) - e
@@ -250,8 +291,6 @@ def reference_metropolis(model, schedule, seed, target, start_evaluations):
                     if run_e <= target:
                         done = True
                         break
-            if done:
-                break
         if best_e is None or run_e < best_e or (run_e == best_e and run_bits < best_bits):
             best_e, best_bits = run_e, run_bits
         if done:
@@ -281,6 +320,42 @@ def test_target_fired_mid_sweep_counts_only_the_visits_made(kernel):
         attempts = result.energy_evaluations - start_evaluations * result.restarts_used
         mid_sweep_in_a_later_restart |= result.restarts_used > 1 and attempts % 10 != 0
     assert mid_sweep_in_a_later_restart
+
+
+def block_model(rng, n, block=8):
+    """A random tenths model whose couplers stay inside blocks of ``block``
+    variables, and its exact ground energy: the sum of the blocks' grounds."""
+    labels, linear, quadratic, ground = [], {}, {}, 0
+    for first in range(0, n, block):
+        part = random_tenths_model(rng, min(block, n - first))
+        ground += exhaustive_solve(part).ground_energy
+        rename = {lab: VarLabel.plain(first + lab.index) for lab in part.labels}
+        labels += rename.values()
+        linear.update((rename[a], h) for a, h in part.linear.items())
+        quadratic.update(((rename[a], rename[b]), j) for (a, b), j in part.quadratic.items())
+    return QuboModel(tuple(labels), linear, quadratic), ground
+
+
+@pytest.mark.parametrize("target", ["none", "ground"])
+@pytest.mark.parametrize("n", [1, 2, 16, 24])
+@pytest.mark.parametrize("kernel", ["sequential", "black box"])
+def test_kernels_match_the_reference_loop(kernel, n, target):
+    model, ground = block_model(np.random.default_rng(40 + n), n)
+    target_energy = ground if target == "ground" else None
+    sched = AnnealSchedule(sweeps=6, t_initial=1.0, t_final=0.1, restarts=3)
+    start_evaluations = int(kernel == "black box")
+    for seed in range(3):
+        if kernel == "black box":
+            result = anneal_black_box(lambda v: qubo_energy(model, BitVector.from_integer(v, n)),
+                                      n, sched, seed=seed, target_energy=target_energy)
+        else:
+            with mock.patch.object(annealer, "_fits_int64", return_value=False):
+                result = anneal(model, sched, seed=seed, target_energy=target_energy)
+        ref = reference_metropolis(model, sched, seed,
+                                   -math.inf if target_energy is None else target_energy,
+                                   start_evaluations)
+        assert (list(result.best_assignment.bits), result.best_energy, result.restarts_used,
+                result.energy_evaluations) == ref, seed
 
 
 class TestAnnealBlackBox:
@@ -416,5 +491,5 @@ class TestAnnealBlackBox:
         assert r1.energy_evaluations == r2.energy_evaluations
 
     def test_rejects_empty_search_space(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least one variable, got n_vars=0"):
             anneal_black_box(lambda s: 0, 0, AnnealSchedule(1, 1.0, 1.0))
