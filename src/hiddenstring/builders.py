@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .model import BitVector, QuboModel, VarLabel
-from .oracles import BvOracle, SimonOracle, _check_width
+from .oracles import BvOracle, SimonOracle, _check_simon_width, _check_width
 
 __all__ = [
     "build_bv_qubo",
@@ -103,8 +103,7 @@ def build_simon_literal_qubo(n: int, j: int) -> QuboModel:
     with biases +1 and -1, exactly as the objective's matrix form treats
     the two black-box outputs.
     """
-    if n < 2:
-        raise ValueError(f"the 2-to-1 search model needs n >= 2, got n={n}")
+    _check_simon_width(n)
     _check_j(j, n)
     penalty = inequality_penalty(j, n)
     gw_gy = QuboModel(

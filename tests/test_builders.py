@@ -121,7 +121,7 @@ class TestSimonLiteralModel:
             assert state[2 * n + 1] == 1
 
     def test_rejects_small_n(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="got n=1"):
             build_simon_literal_qubo(1, 1)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from hiddenstring.builders import build_bv_qubo_from_bits, build_simon_literal_qubo
-from hiddenstring.cli import RunConfig, _build_parser, main
+from hiddenstring.cli import _build_parser, _config_flags, main
 from hiddenstring.model import BitVector
 from hiddenstring.qubofile import export_qubo, model_to_dict
 
@@ -31,6 +31,11 @@ def run(capsys, *argv):
 def dumped(payload):
     """The bytes the CLI writes for a JSON payload."""
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def stable_lines(text):
+    """A report's lines apart from the one that varies, wall_time_s."""
+    return [ln for ln in text.splitlines() if "wall_time_s" not in ln]
 
 
 class TestBuild:
@@ -120,11 +125,7 @@ class TestSolve:
         assert main(argv + ["--out", str(first)]) == 0
         assert main(argv + ["--out", str(second)]) == 0
         capsys.readouterr()
-
-        def stable_lines(path):
-            return [ln for ln in path.read_text().splitlines() if "wall_time_s" not in ln]
-
-        assert stable_lines(first) == stable_lines(second)
+        assert stable_lines(first.read_text()) == stable_lines(second.read_text())
 
 
 class TestValidation:
@@ -173,7 +174,7 @@ class TestValidation:
     )
     def test_library_checks_exit_two(self, capsys, argv, named):
         # Ranges are checked by the library code that reads the flag, not
-        # by RunConfig.validate; its ValueError still exits 2 with no output.
+        # by the CLI; its ValueError still exits 2 with no output.
         code, out, err = run(capsys, *argv.split())
         assert code == 2 and out == ""
         assert named in err
@@ -388,19 +389,101 @@ class TestExportImport:
         assert "out of range" in err
 
 
-class TestRunConfig:
-    def test_round_trips_through_json(self):
-        cfg = RunConfig(
-            problem="simon", n=[4, 6], a="random", seed=3, solver="anneal",
-            mode="literal", j=2, j_policy="fixed", budget=12,
-            sweeps=5, restarts=2, t0=3.0, t1=0.5, format="qubo", out="x.json",
-            blind=True, trials=7,
-        )
-        assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+def write_config(tmp_path, data):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(data))
+    return str(path)
 
-    def test_rejects_unknown_fields(self):
-        with pytest.raises(ValueError):
-            RunConfig.from_dict({"problem": "bv", "temperature": 3})
+
+class TestConfigFile:
+    EVERY_KEY = {
+        "problem": "simon", "n": [4, 6], "a": "random", "seed": 3, "solver": "anneal",
+        "mode": "literal", "j": 2, "j_policy": "fixed", "budget": 12, "sweeps": 5,
+        "restarts": 2, "t0": 3.0, "t1": 0.5, "format": "qubo", "out": None,
+        "blind": True, "trials": 3,
+    }
+    EVERY_FLAG = [
+        "--problem", "simon", "--n", "4,6", "--a", "random", "--seed", "3",
+        "--solver", "anneal", "--mode", "literal", "--j", "2", "--j-policy", "fixed",
+        "--budget", "12", "--sweeps", "5", "--restarts", "2", "--t0", "3.0", "--t1", "0.5",
+        "--format", "qubo", "--blind",
+    ]
+
+    def test_every_key_names_a_flag(self):
+        assert set(self.EVERY_KEY) == set(_config_flags())
+
+    def test_bench_from_every_key_matches_the_flags(self, capsys, tmp_path):
+        from_file, from_flags = tmp_path / "file.json", tmp_path / "flags.json"
+        config = write_config(tmp_path, dict(self.EVERY_KEY, out=str(from_file)))
+        assert run(capsys, "bench", "--config", config) == (0, "", "")
+        argv = ["bench", *self.EVERY_FLAG, "--trials", "3", "--out", str(from_flags)]
+        assert run(capsys, *argv) == (0, "", "")
+        assert from_file.read_bytes() == from_flags.read_bytes()
+
+    def test_solve_from_every_key_matches_the_flags(self, capsys, tmp_path):
+        config = write_config(tmp_path, dict(self.EVERY_KEY, n=4, a=5))
+        code, out, err = run(capsys, "solve", "--config", config)
+        flags = list(self.EVERY_FLAG)
+        flags[flags.index("--n") + 1], flags[flags.index("--a") + 1] = "4", "5"
+        expected_code, expected_out, expected_err = run(capsys, "solve", *flags)
+        assert (code, err) == (expected_code, expected_err)
+        assert stable_lines(out) == stable_lines(expected_out)
+        assert json.loads(out)["hidden_a"] is None
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    @pytest.mark.parametrize(
+        "key, value, flag",
+        [
+            ("n", 4.5, "--n"),
+            ("n", True, "--n"),
+            ("a", True, "--a"),
+            ("blind", "no", "--blind"),
+            ("sweeps", 2.5, "--sweeps"),
+            ("seed", "abc", "--seed"),
+        ],
+    )
+    def test_bad_value_is_read_as_its_flag(self, capsys, tmp_path, command, key, value, flag):
+        config = write_config(tmp_path, {"problem": "bv", "n": 4, "a": 3, "trials": 1, key: value})
+        code, out, err = run(capsys, command, "--config", config)
+        assert code == 2 and out == ""
+        assert f"argument {flag}" in err
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    @pytest.mark.parametrize(
+        "data, flags",
+        [
+            ({"problem": "simon", "n": 4, "a": 3, "budget": "3"},
+             ["--problem", "simon", "--n", "4", "--a", "3", "--budget", "3"]),
+            ({"problem": "bv", "n": 4, "a": "0x3", "solver": "exhaustive"},
+             ["--problem", "bv", "--n", "4", "--a", "0x3", "--solver", "exhaustive"]),
+            ({"problem": "bv", "n": 4, "a": 5, "seed": None, "blind": False},
+             ["--problem", "bv", "--n", "4", "--a", "5"]),
+        ],
+        ids=["budget-string", "a-hex-string", "null-and-false"],
+    )
+    def test_value_reads_as_the_flag_text(self, capsys, tmp_path, command, data, flags):
+        # Only bench reads trials; solve drops it from the file.
+        config = write_config(tmp_path, dict(data, trials=2))
+        if command == "bench":
+            flags = [*flags, "--trials", "2"]
+        code, out, err = run(capsys, command, "--config", config)
+        expected_code, expected_out, expected_err = run(capsys, command, *flags)
+        assert (code, err) == (expected_code, expected_err)
+        assert stable_lines(out) == stable_lines(expected_out)
+
+    @pytest.mark.parametrize("data", [[1, 2], "bv", 3, None])
+    def test_non_object_exits_two(self, capsys, tmp_path, data):
+        code, out, err = run(capsys, "solve", "--config", write_config(tmp_path, data))
+        assert code == 2 and out == ""
+        assert "--config file must hold a JSON object" in err
+
+    def test_flag_clears_a_config_bool(self, capsys, tmp_path):
+        config = write_config(tmp_path, {"problem": "bv", "n": 4, "a": 7, "blind": True})
+        code, out, _ = run(capsys, "solve", "--config", config, "--solver", "exhaustive")
+        assert code == 0 and json.loads(out)["hidden_a"] is None
+        code, out, _ = run(capsys, "solve", "--config", config, "--solver", "exhaustive",
+                           "--no-blind")
+        assert code == 0 and json.loads(out)["hidden_a"] == 7
 
     def test_config_naming_workers_exits_two(self, capsys, tmp_path):
         cfg_path = tmp_path / "run.json"

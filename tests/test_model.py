@@ -300,6 +300,21 @@ class TestModelConstruction:
         cancel = left + QuboModel((a,), {a: -1})
         assert a not in cancel.linear
 
+    @pytest.mark.parametrize("left_coupler, coupler", [(0, 4), (-1, 3)])
+    def test_addition_orders_a_pair_by_the_left_labels(self, left_coupler, coupler):
+        a, b = VarLabel.plain(0), VarLabel.plain(1)
+        left = QuboModel((b, a), {b: 1, a: -3}, {(b, a): left_coupler})
+        right = QuboModel((a, b), {a: 2}, {(a, b): 4})
+        total = left + right
+        assert total.labels == (b, a)
+        assert total.quadratic == {(b, a): coupler}
+        for bits in itertools.product((0, 1), repeat=2):
+            value = dict(zip(total.labels, bits))
+            assert qubo_energy(total, bits) == (
+                qubo_energy(left, [value[lab] for lab in left.labels])
+                + qubo_energy(right, [value[lab] for lab in right.labels])
+            )
+
 
 class TestEnergies:
     def test_hand_example(self):
@@ -351,6 +366,7 @@ class TestConversions:
             for bits in itertools.product((0, 1), repeat=n):
                 spins = [2 * b - 1 for b in bits]
                 assert qubo_energy(q, bits) == naive_ising_energy(m, spins)
+                assert ising_energy(m, spins) == naive_ising_energy(m, spins)
 
     def test_round_trip_is_identity(self):
         rng = np.random.default_rng(29)

@@ -284,6 +284,8 @@ class TestSolveSimon:
         oracle = SimonOracle(BitVector.from_integer(3, 2), seed=0)
         with pytest.raises(ValueError):
             solve_simon(oracle, mode="spectral")
+        with pytest.raises(ValueError, match="unknown j policy 'random'"):
+            solve_simon(oracle, j_policy="random")
         with pytest.raises(ValueError):
             solve_simon(oracle, j_policy="fixed")  # no j given
         with pytest.raises(ValueError):
