@@ -13,8 +13,7 @@ draws its start, tests the early stop, records the trajectory, merges the
 restarts' best states and builds the result; once per restart it calls a
 kernel that runs the sweeps with its visit loop inline. The explicit
 kernel (:func:`anneal`) works on the model compiled to exact ints over a
-common denominator and prices each sweep's costs in a table keyed by the
-integer cost; on a model without couplers whose costs fit in int64 (the
+common denominator; on a model without couplers whose costs fit in int64 (the
 Bernstein-Vazirani model among them), a batch of sweeps, about 4 096
 visits, is a few numpy array operations, with identical results. The
 black-box kernel (:func:`anneal_black_box`) prices every flip with one
@@ -38,10 +37,10 @@ stop takes back the visits after the stopping one, found by its position
 in the order. The explicit loop updates the neighbours' fields on an
 accepted flip by branching on the bit instead of multiplying by a sign;
 the black-box loop xors the visited bit's mask into a local and keeps it
-only on accept, so a rejected flip costs no second xor. Costs are priced
-exactly as ``exp(-(dE/den)/T)`` (or ``exp(-dE/T)``), so every draw,
-result and trajectory matches a plain loop that prices and counts visit
-by visit.
+only on accept, so a rejected flip costs no second xor. Each uphill flip
+is priced where it is visited, as ``exp(-(dE/den)/T)`` (or
+``exp(-dE/T)``), so every draw, result and trajectory matches a plain
+loop that prices and counts visit by visit.
 """
 
 from __future__ import annotations
@@ -321,19 +320,14 @@ def anneal(
                 if done:
                     break
                 t = temperature(sweep)
-                accept: dict[int, float] = {}
                 order = indices.copy()
                 shuffle(order)
                 random(out=uniforms)
                 attempts += n
                 for i, u in zip(order, uniforms.tolist()):
                     de = -field[i] if s[i] else field[i]
-                    if de > 0:
-                        p = accept.get(de)
-                        if p is None:
-                            p = accept[de] = exp(-(de / den) / t)
-                        if u >= p:
-                            continue
+                    if de > 0 and u >= exp(-(de / den) / t):
+                        continue
                     energy += de
                     if s[i]:
                         s[i] = 0
@@ -493,7 +487,6 @@ def anneal_black_box(
             if done:
                 break
             t = temperature(sweep)
-            accept: dict = {}
             order = masks.copy()
             shuffle(order)
             random(out=uniforms)
@@ -506,12 +499,8 @@ def anneal_black_box(
                 e_new = energy(flipped)
                 de = e_new - e_cur
                 # Negated tests, so that a NaN cost (inf - inf) is rejected.
-                if not de <= 0:
-                    p = accept.get(de)
-                    if p is None:
-                        p = accept[de] = exp(-de / t)
-                    if not u < p:
-                        continue
+                if not de <= 0 and not u < exp(-de / t):
+                    continue
                 value, e_cur = flipped, e_new
                 if e_new < run_e:
                     run_e, run_value = e_new, value

@@ -59,11 +59,8 @@ def build_bv_qubo(oracle: BvOracle) -> QuboModel:
     unique minimum of the resulting model is w = a.
     """
     n = oracle.n
-    linear = {}
-    for k in range(n):
-        a_k = oracle.query(BitVector.from_integer(1 << k, n))
-        linear[VarLabel.w(k)] = 1 - 2 * a_k
-    return QuboModel(bv_labels(n), linear)
+    a = sum(oracle.query(BitVector.from_integer(1 << k, n)) << k for k in range(n))
+    return build_bv_qubo_from_bits(BitVector.from_integer(a, n))
 
 
 def build_bv_qubo_from_bits(a: BitVector) -> QuboModel:

@@ -14,9 +14,11 @@ ignores the flags it does not read, whatever their value.
 Flags can come from a JSON object in a ``--config`` file. Each key is read
 exactly as the flag it names, with the same forms and checks: a list is a
 comma list, ``true``/``false`` set or clear ``--blind``, ``null`` leaves
-the flag unset, and ``trials`` applies only to ``bench``. Explicit flags
-override file values. Reports are JSON with sorted keys, so a fixed config
-and seed produce byte-identical output except for the ``wall_time_s`` field.
+the flag unset, and ``trials`` applies only to ``bench``. An error the
+file causes adds the line ``error: in --config <path>`` to stderr.
+Explicit flags override file values. Reports are JSON with sorted keys, so
+a fixed config and seed produce byte-identical output except for the
+``wall_time_s`` field.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from .builders import build_bv_qubo_from_bits, build_simon_literal_qubo
 from .model import BitVector, QuboModel, exhaustive_solve
 from .oracles import BvOracle, SimonOracle, random_hidden_string
 from .protocol import (
-    _J_POLICIES, _MODES, _PROBLEMS, _SOLVERS, _check_sizes, bench_calls, solve_bv, solve_simon,
+    _J_POLICIES, _MODES, _PROBLEMS, _SCHEMA_VERSION, _SOLVERS, _check_sizes, bench_calls,
+    solve_bv, solve_simon,
 )
 from .qubofile import export_qubo, import_qubo, model_from_dict, model_to_dict
 
@@ -281,7 +284,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
     ]
     payload = {
-        "schema_version": 1,
+        "schema_version": _SCHEMA_VERSION,
         "kind": "bench",
         "problem": args.problem,
         "seed": args.seed,
@@ -302,7 +305,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     spectrum = exhaustive_solve(model)
     entries = list(itertools.islice(spectrum.iter_entries(), args.top))
     payload = {
-        "schema_version": 1,
+        "schema_version": _SCHEMA_VERSION,
         "kind": "spectrum",
         "labels": [str(lab) for lab in spectrum.labels],
         "ground_energy": str(spectrum.ground_energy),
@@ -348,8 +351,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 2
         if args.config:
             # The file's flags go first, so the explicit ones override them.
-            config = _config_tokens(args.config, args.command)
-            args = parser.parse_args([argv[0], *config, *argv[1:]])
+            # argv alone parsed, so a failure here is the file's: name it.
+            try:
+                config = _config_tokens(args.config, args.command)
+                args = parser.parse_args([argv[0], *config, *argv[1:]])
+            except (SystemExit, ValueError):
+                print(f"error: in --config {args.config}", file=sys.stderr)
+                raise
         _validate(args)
         return _DISPATCH[args.command](args)
     except SystemExit as exc:

@@ -216,9 +216,6 @@ class VarLabel:
         return cls(VarKind(m.group(1)), int(m.group(2)))
 
 
-Coefficient = Fraction  # all model coefficients are exact rationals
-
-
 def _as_coefficient(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError(

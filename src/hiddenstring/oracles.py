@@ -1,8 +1,9 @@
 """Black-box oracles for the two hidden-string problems.
 
 Both oracles seal a hidden bit string ``a`` behind a query interface and
-count every query made. Test code may read the hidden string back, but only
-through the explicitly named ``reveal_*`` accessors.
+count every query made. The hidden string is read back only through the
+explicitly named ``reveal_*`` accessors: by tests, and by reports, which
+record it unless the run is blind.
 
 The parity oracle computes ``f(w) = (sum_k w_k a_k) mod 2``. The 2-to-1
 oracle maps n-bit inputs to (n-1)-bit labels with ``g(w) = g(y)`` exactly
@@ -78,7 +79,8 @@ class BvOracle:
         return (w.to_integer() & self._a.to_integer()).bit_count() & 1
 
     def reveal_hidden_string(self) -> BitVector:
-        """Test-only accessor; protocol code must not call this."""
+        """The hidden string, without a query: reports read it unless ``blind``,
+        and no search, check or verify step does."""
         return self._a
 
 
@@ -145,7 +147,8 @@ class SimonOracle:
         return int((fibers * (fibers - 1) // 2).sum())
 
     def reveal_hidden_string(self) -> BitVector:
-        """Test-only accessor; protocol code must not call this."""
+        """The hidden string, without a query: reports read it unless ``blind``,
+        and no search, check or verify step does."""
         return BitVector._of(self._a, self._n)
 
     def reveal_label_table(self) -> np.ndarray:

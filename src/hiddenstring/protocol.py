@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -51,6 +51,9 @@ __all__ = [
 BV_PROBES = 16
 MIN_VERIFY_PROBES = 4
 _VERIFY_PROBES = 16
+
+# The schema version of reports and of the CLI's bench and spectrum payloads.
+_SCHEMA_VERSION = 1
 
 # The option values the protocols accept; the CLI offers exactly these.
 _PROBLEMS = ("bv", "simon")
@@ -87,25 +90,12 @@ class ExperimentReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": 1,
-            "problem": self.problem,
-            "n": self.n,
-            "seed": self.seed,
-            "solver": self.solver,
-            "mode": self.mode,
-            "j_policy": self.j_policy,
-            "signal": self.signal,
-            "budget": self.budget,
-            "hidden_a": self.hidden_a,
-            "recovered_a": self.recovered_a,
-            "success": self.success,
-            "aqc_calls": self.aqc_calls,
-            "oracle_queries": self.oracle_queries,
-            "wall_time_s": self.wall_time_s,
-            "trace": [dict(rec) for rec in self.trace],
-            "diagnostics": dict(self.diagnostics),
-        }
+        """``schema_version``, then every field in declaration order."""
+        out = {"schema_version": _SCHEMA_VERSION}
+        out.update((f.name, getattr(self, f.name)) for f in fields(self))
+        out["trace"] = [dict(rec) for rec in self.trace]
+        out["diagnostics"] = dict(self.diagnostics)
+        return out
 
 
 def xor_recover(w: BitVector, y: BitVector) -> BitVector:
@@ -347,6 +337,8 @@ def solve_simon(
         budget = 64 * n
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
+    if schedule is None:
+        schedule = _coupled_schedule(n) if mode == "coupled" else _literal_schedule(n)
     q0 = oracle.queries
 
     trace: list[dict] = []
@@ -363,19 +355,17 @@ def solve_simon(
         call_seed_pair = (seed, call)
 
         if mode == "coupled":
-            sched = schedule if schedule is not None else _coupled_schedule(n)
             result = anneal_black_box(
                 _coupled_objective(oracle, j_call),
                 2 * n,
-                sched,
+                schedule,
                 seed=_spawn_seed(call_seed_pair),
                 target_energy=-1,
             )
         else:
             if literal_model is None or j_policy == "cycle":
                 literal_model = build_simon_literal_qubo(n, j_call)
-            sched = schedule if schedule is not None else _literal_schedule(n)
-            result = anneal(literal_model, sched, seed=_spawn_seed(call_seed_pair))
+            result = anneal(literal_model, schedule, seed=_spawn_seed(call_seed_pair))
         v = result.best_assignment.to_integer()
         w = BitVector._of(v & mask, n)
         y = BitVector._of(v >> n & mask, n)
@@ -415,38 +405,6 @@ def solve_simon(
         wall_time_s=time.perf_counter() - start,
         trace=tuple(trace),
         diagnostics={"calls": call},
-    )
-
-
-def _bench_one(
-    problem: str,
-    n: int,
-    trial: int,
-    seed: int,
-    *,
-    solver: str,
-    mode: str,
-    j_policy: str,
-    j: int | None,
-    budget: int | None,
-    schedule: AnnealSchedule | None,
-) -> ExperimentReport:
-    rng = _seeded_rng(seed, n, trial, 0)
-    run_seed = _spawn_seed((seed, n, trial, 1))
-    if problem == "bv":
-        a = random_hidden_string(n, rng)
-        oracle = BvOracle(a)
-        return solve_bv(oracle, solver=solver, schedule=schedule, seed=run_seed)
-    a = random_hidden_string(n, rng, nonzero=True)
-    oracle = SimonOracle(a, seed=_spawn_seed((seed, n, trial, 2)))
-    return solve_simon(
-        oracle,
-        mode=mode,
-        j_policy=j_policy,
-        j=j,
-        budget=budget,
-        schedule=schedule,
-        seed=run_seed,
     )
 
 
@@ -493,11 +451,19 @@ def bench_calls(
         raise ValueError(f"solver {solver!r} applies only to problem 'bv'")
     rows = []
     for n in n_values:
-        reports = [
-            _bench_one(problem, n, t, seed, solver=solver, mode=mode, j_policy=j_policy,
-                       j=j, budget=budget, schedule=schedule)
-            for t in range(trials)
-        ]
+        reports = []
+        for t in range(trials):
+            rng = _seeded_rng(seed, n, t, 0)
+            run_seed = _spawn_seed((seed, n, t, 1))
+            if problem == "bv":
+                oracle = BvOracle(random_hidden_string(n, rng))
+                report = solve_bv(oracle, solver=solver, schedule=schedule, seed=run_seed)
+            else:
+                a = random_hidden_string(n, rng, nonzero=True)
+                oracle = SimonOracle(a, seed=_spawn_seed((seed, n, t, 2)))
+                report = solve_simon(oracle, mode=mode, j_policy=j_policy, j=j,
+                                     budget=budget, schedule=schedule, seed=run_seed)
+            reports.append(report)
         calls = [r.aqc_calls for r in reports]
         queries = [r.oracle_queries for r in reports]
         correct = sum(

@@ -11,6 +11,7 @@ import pytest
 from hiddenstring.builders import build_bv_qubo_from_bits, build_simon_literal_qubo
 from hiddenstring.cli import _build_parser, _config_flags, main
 from hiddenstring.model import BitVector
+from hiddenstring.protocol import _SCHEMA_VERSION
 from hiddenstring.qubofile import export_qubo, model_to_dict
 
 
@@ -134,6 +135,11 @@ class TestValidation:
         assert code == 2
         assert "--n" in err
 
+    def test_missing_problem(self, capsys):
+        code, out, err = run(capsys, "solve", "--n", "4")
+        assert code == 2 and out == ""
+        assert "--problem is required" in err
+
     def test_missing_subcommand(self, capsys):
         assert run(capsys)[0] == 2
 
@@ -196,7 +202,7 @@ class TestValidation:
     )
     def test_bench_checks_every_size_before_any_trial(self, capsys, monkeypatch, argv, named):
         trials = []
-        monkeypatch.setattr("hiddenstring.protocol._bench_one",
+        monkeypatch.setattr("hiddenstring.protocol.random_hidden_string",
                             lambda *args, **kwargs: trials.append(args))
         code, out, err = run(capsys, *argv.split())
         assert code == 2 and out == ""
@@ -341,6 +347,20 @@ class TestSpectrumGolden:
         assert run(capsys, "spectrum", *flags, "--top", str(top)) == (0, expected_top, "")
 
 
+class TestSchemaVersion:
+    def test_every_payload_carries_the_one_version(self, capsys):
+        versions = []
+        for argv in (
+            "solve --problem bv --n 4 --a 5",
+            "bench --problem bv --n 4 --trials 1 --solver exhaustive",
+            "spectrum --problem simon --n 3 --j 1 --top 2",
+        ):
+            code, out, _ = run(capsys, *argv.split())
+            assert code == 0
+            versions.append(json.loads(out)["schema_version"])
+        assert versions == [_SCHEMA_VERSION] * 3
+
+
 class TestParserReuse:
     def test_parser_is_built_once(self):
         assert _build_parser() is _build_parser()
@@ -447,6 +467,7 @@ class TestConfigFile:
         code, out, err = run(capsys, command, "--config", config)
         assert code == 2 and out == ""
         assert f"argument {flag}" in err
+        assert f"error: in --config {config}\n" in err
 
     @pytest.mark.parametrize("command", ["solve", "bench"])
     @pytest.mark.parametrize(
@@ -473,8 +494,10 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("data", [[1, 2], "bv", 3, None])
     def test_non_object_exits_two(self, capsys, tmp_path, data):
-        code, out, err = run(capsys, "solve", "--config", write_config(tmp_path, data))
+        config = write_config(tmp_path, data)
+        code, out, err = run(capsys, "solve", "--config", config)
         assert code == 2 and out == ""
+        assert f"error: in --config {config}\n" in err
         assert "--config file must hold a JSON object" in err
 
     def test_flag_clears_a_config_bool(self, capsys, tmp_path):

@@ -93,6 +93,8 @@ class TestBitVector:
         b = BitVector.from_integer(0b1010, 4)
         assert (a ^ b).to_integer() == 0b0110
         assert a.popcount() == 2
+        with pytest.raises(TypeError):
+            a ^ 3
 
     def test_xor_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -206,6 +208,10 @@ class TestVarLabel:
             with pytest.raises(ValueError):
                 VarLabel.parse(bad)
 
+    def test_rejects_negative_index(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            VarLabel.w(-1)
+
     def test_gw_carries_no_index(self):
         with pytest.raises(ValueError):
             VarLabel(VarKind.GW, 1)
@@ -299,6 +305,8 @@ class TestModelConstruction:
         assert total.quadratic == {(a, b): 2, (b, c): 4}
         cancel = left + QuboModel((a,), {a: -1})
         assert a not in cancel.linear
+        with pytest.raises(TypeError):
+            left + 3
 
     @pytest.mark.parametrize("left_coupler, coupler", [(0, 4), (-1, 3)])
     def test_addition_orders_a_pair_by_the_left_labels(self, left_coupler, coupler):

@@ -33,6 +33,10 @@ class TestBvOracle:
         assert oracle.query(BitVector.from_integer(0b0100, 4)) == 0
         assert oracle.query(BitVector.from_integer(0b0011, 4)) == 0
         assert oracle.query(BitVector.from_integer(0b1111, 4)) == 1
+        # a plain bit list, LSB first, is the same oracle
+        bits = BvOracle([1, 1, 0, 1])
+        assert bits.reveal_hidden_string() == oracle.reveal_hidden_string()
+        assert bits.query(BitVector.from_integer(0b0011, 4)) == 0
 
     def test_unit_queries_read_singles_bits(self):
         rng = np.random.default_rng(3)
@@ -157,6 +161,8 @@ class TestSimonOracle:
         t1 = SimonOracle(a, seed=5).reveal_label_table()
         t2 = SimonOracle(a, seed=5).reveal_label_table()
         assert (t1 == t2).all()
+        # a plain bit list, LSB first, is the same oracle
+        assert (SimonOracle([0, 1, 1, 0], seed=5).reveal_label_table() == t1).all()
 
     def test_different_seeds_differ(self):
         a = BitVector.from_integer(0b0110, 4)

@@ -1,5 +1,6 @@
 """Protocols: recovery, verification probes, query accounting, bench tables."""
 
+import dataclasses
 import json
 from pathlib import Path
 from unittest import mock
@@ -16,6 +17,7 @@ from hiddenstring.oracles import BvOracle, SimonOracle, random_hidden_string
 from hiddenstring.protocol import (
     BV_PROBES,
     MIN_VERIFY_PROBES,
+    ExperimentReport,
     bench_calls,
     check_collision,
     solve_bv,
@@ -308,6 +310,22 @@ class TestExperimentReport:
         round_tripped = json.loads(json.dumps(data, sort_keys=True))
         assert round_tripped == data
 
+    def test_dict_keys_are_the_version_then_the_fields(self):
+        report = solve_simon(SimonOracle(BitVector.from_integer(0b101, 3), seed=1), seed=2)
+        data = report.to_dict()
+        assert list(data) == [
+            "schema_version", "problem", "n", "seed", "solver", "mode", "j_policy",
+            "signal", "budget", "hidden_a", "recovered_a", "success", "aqc_calls",
+            "oracle_queries", "wall_time_s", "trace", "diagnostics",
+        ]
+        assert list(data) == [
+            "schema_version", *(f.name for f in dataclasses.fields(ExperimentReport))
+        ]
+        # trace and diagnostics are copies, the trace as a list
+        assert data["trace"] == list(report.trace) and data["trace"][0] is not report.trace[0]
+        assert data["diagnostics"] == report.diagnostics
+        assert data["diagnostics"] is not report.diagnostics
+
 
 class TestBenchCalls:
     def test_bv_rows_have_flat_query_counts(self):
@@ -347,7 +365,7 @@ class TestBenchCalls:
 
     @pytest.mark.parametrize("problem", ["bv", "simon"])
     def test_rejects_an_empty_size_list_before_any_trial(self, problem):
-        with mock.patch.object(protocol, "_bench_one", side_effect=AssertionError):
+        with mock.patch.object(protocol, "random_hidden_string", side_effect=AssertionError):
             with pytest.raises(ValueError, match="n_values"):
                 bench_calls(problem, [], trials=1)
 
@@ -362,7 +380,7 @@ class TestBenchCalls:
         ],
     )
     def test_rejects_every_bad_size_before_any_trial(self, problem, n_values, options, named):
-        with mock.patch.object(protocol, "_bench_one", side_effect=AssertionError):
+        with mock.patch.object(protocol, "random_hidden_string", side_effect=AssertionError):
             with pytest.raises(ValueError, match=named):
                 bench_calls(problem, n_values, trials=1, **options)
 

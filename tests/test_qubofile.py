@@ -122,6 +122,8 @@ class TestImport:
         assert model.linear[VarLabel.plain(1)] == -1
         # a string holding the path works too
         assert import_qubo(str(path)) == model
+        with pytest.raises(TypeError, match="expected text or path, got bytes"):
+            import_qubo(path.read_bytes())
 
     def test_missing_header(self):
         with pytest.raises(QuboFormatError, match="header"):
@@ -134,12 +136,16 @@ class TestImport:
             import_qubo("p qubo 0 4 0\n")
         with pytest.raises(QuboFormatError, match="line 1"):
             import_qubo("p qubo 0 x 0 0\n")
+        with pytest.raises(QuboFormatError, match="line 1: negative count"):
+            import_qubo("p qubo 0 2 -1 0\n")
 
     def test_malformed_entry_reports_line_number(self):
         with pytest.raises(QuboFormatError, match="line 3"):
             import_qubo("p qubo 0 2 2 0\n0 0 1\n1 1\n")
         with pytest.raises(QuboFormatError, match="line 2"):
             import_qubo("p qubo 0 2 1 0\n0 0 pi\n")
+        with pytest.raises(QuboFormatError, match="line 2: non-integer index"):
+            import_qubo("p qubo 0 2 1 0\nx 0 1\n")
 
     def test_count_mismatch(self):
         with pytest.raises(QuboFormatError, match="diagonal"):
