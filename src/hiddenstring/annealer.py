@@ -15,7 +15,10 @@ kernel that runs the sweeps with its visit loop inline. The explicit
 kernel (:func:`anneal`) works on the model compiled to exact ints over a
 common denominator; on a model without couplers whose costs fit in int64 (the
 Bernstein-Vazirani model among them), a batch of sweeps, about 4 096
-visits, is a few numpy array operations, with identical results. The
+visits, is a few numpy array operations, with identical results. Its
+arrays are made once per restart, and each batch prices its sweeps with
+the float expression of :meth:`AnnealSchedule.temperature`, one price per
+sweep and cost level, broadcast over the row when there is one level. The
 black-box kernel (:func:`anneal_black_box`) prices every flip with one
 evaluation of an opaque energy callback (the oracle-coupled search, whose
 objective exists only behind oracle queries); its state is one integer,
@@ -90,10 +93,22 @@ class AnnealSchedule:
             raise ValueError(f"sweeps must be positive, got {self.sweeps}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be positive, got {self.restarts}")
+        if not (math.isfinite(self.t_initial) and math.isfinite(self.t_final)):
+            raise ValueError(
+                "temperatures must be finite, "
+                f"got t_initial={self.t_initial}, t_final={self.t_final}"
+            )
         if not (self.t_final > 0 and self.t_initial >= self.t_final):
             raise ValueError(
                 "need t_initial >= t_final > 0, "
                 f"got t_initial={self.t_initial}, t_final={self.t_final}"
+            )
+        # No sweep is colder than the last, so this keeps every one above 0.
+        coldest = self.temperature(self.sweeps - 1)
+        if not coldest > 0:
+            raise ValueError(
+                f"the last sweep's temperature underflows to {coldest}: "
+                f"t_initial={self.t_initial}, t_final={self.t_final}, sweeps={self.sweeps}"
             )
 
     @functools.cached_property
@@ -251,12 +266,13 @@ def anneal(
     bit sequence; its energy is reported exactly, as ``Fraction(e, den)``.
 
     A model without couplers, whose summed cost magnitudes stay below 2**63,
-    takes ``_BATCH_VISITS // n`` sweeps at a time (at least one) as a few
-    whole-array numpy operations (:func:`_diagonal_sweep`): no visit changes
-    another variable's cost, so each variable's acceptances follow from its
-    own uniforms and the sweep temperatures alone. It draws the same numbers
-    and returns the same result, trajectory included, as the sequential
-    Python-int loop that every other model takes.
+    takes ``_BATCH_VISITS // n`` sweeps at a time (at least one, at most
+    the schedule's) as a few whole-array numpy operations
+    (:func:`_diagonal_sweeps`): no visit changes another variable's cost, so
+    each variable's acceptances follow from its own uniforms and the sweep
+    temperatures alone. It draws the same numbers and returns the same
+    result, trajectory included, as the sequential Python-int loop that
+    every other model takes.
 
     ``target_energy`` stops the run early once a new best energy is at most
     the target (used when a lower bound for the objective is known). An int
@@ -284,7 +300,7 @@ def anneal(
         ground = (h_arr < 0).astype(np.int8)
         levels, level_of = np.unique(h_abs, return_inverse=True)
         costs = [c / den for c in levels.tolist()]  # priced as the sequential loop does
-        batch = max(1, _BATCH_VISITS // n)
+        batch = min(max(1, _BATCH_VISITS // n), schedule.sweeps)
     exp = math.exp
 
     def restart(rng, start, reaches_target, sweep_bests):
@@ -301,18 +317,11 @@ def anneal(
         done = reaches_target(run_e)
         attempts = 0
         if diagonal:
-            excited = start.astype(np.int8) ^ ground
-            for first in range(0, schedule.sweeps, batch):
-                if done:
-                    break
-                temps = map(schedule.temperature,
-                            range(first, min(first + batch, schedule.sweeps)))
-                probs = np.array([exp(-c / t) for t in temps for c in costs])
-                energy, run_e, run_bits, visits, done, batch_bests = _diagonal_sweep(
-                    rng, excited, ground, h_abs, probs.reshape(-1, len(costs)).take(level_of, 1),
-                    energy, run_e, run_bits, reaches_target)
-                attempts += visits
-                sweep_bests.extend(batch_bests)
+            if not done:
+                run_e, run_bits, attempts, done = _diagonal_sweeps(
+                    rng, start.astype(np.int8) ^ ground, ground, h_abs, level_of, costs,
+                    schedule, batch, energy, run_e, run_bits, reaches_target,
+                    sweep_bests if record_trajectory else None)
         else:
             shuffle, random, temperature = rng.shuffle, rng.random, schedule.temperature
             indices, uniforms = list(range(n)), np.empty(n)
@@ -349,90 +358,131 @@ def anneal(
     return _restart_loop(restart, n, schedule, seed, target_energy, record_trajectory, den)
 
 
-def _diagonal_sweep(
+def _diagonal_sweeps(
     rng: np.random.Generator,
     excited: np.ndarray,
     ground: np.ndarray,
     h_abs: np.ndarray,
-    p: np.ndarray,
+    level_of: np.ndarray,
+    costs: list[float],
+    schedule: AnnealSchedule,
+    batch: int,
     energy: int,
     run_e: int,
     run_bits: list[int],
     reaches_target: Callable[[int], bool],
-) -> tuple[int, int, list[int], int, bool, list[int]]:
-    """A batch of Metropolis sweeps over a coupler-free model, in numpy arrays.
+    sweep_bests: list[int] | None,
+) -> tuple[int, list[int], int, bool]:
+    """One restart's Metropolis sweeps over a coupler-free model, in numpy arrays.
 
-    Runs ``len(p)`` sweeps; ``p[m, i]`` is the acceptance probability of
-    variable i's cost |h_i| in sweep m. ``excited`` (int8) marks the
-    variables whose bit is not ``ground``, the bit that takes the lower
-    energy of their bias, and is updated in place.
+    Runs the sweeps ``batch`` at a time and returns ``(run_e, run_bits,
+    visits, done)``; unless ``sweep_bests`` is None, appends ``run_e`` after
+    each sweep that ran. ``excited`` (int8) marks the variables whose bit is
+    not ``ground``, the bit that takes the lower energy of their bias.
 
-    The draws are the sequential loop's: each sweep draws a visit order, then
-    one uniform per visit. All of the batch's sweeps are drawn up front; a
-    run that stops early leaves some unused, which is harmless because each
-    restart's generator is discarded when the restart ends.
+    Every array is made once per restart, sized to one batch, and a short
+    last batch uses its leading rows. Variable i costs ``costs[level_of[i]]``
+    (``|h_i| / den`` as a float); a batch prices each level in sweep m as
+    ``exp(-c / t)`` with ``t = t_initial * decay**m``, the float expression
+    of :meth:`AnnealSchedule.temperature`, so each price is the float the
+    sequential loop computes. With one level, as in the Bernstein-Vazirani
+    model, a sweep's one price is broadcast over its row.
+
+    The draws are the sequential loop's: each sweep shuffles a row reset to
+    ``arange(n)`` for its visit order, then fills a row with one uniform per
+    visit. All of a batch's sweeps are drawn up front; a run that stops
+    early leaves some unused, which is harmless because each restart's
+    generator is discarded when the restart ends.
 
     A visit to an excited variable is always accepted (its flip lowers the
     energy) and leaves it relaxed; a visit to a relaxed one is accepted when
     its uniform is below p and excites it. Hence ``excited[m + 1] =
     ~excited[m] & (u[m] < p[m])``: a variable is excited after sweep m
     exactly when an odd number of sweeps passed since its last rejection,
-    found for every sweep at once with a running maximum. A variable with
-    zero cost has p = 1 and accepts every visit. The accepted costs,
-    summed in visit order over the whole batch, give the energy after every
-    visit. The strict running minima below ``run_e`` are the loop's new best
-    states; they are walked in order so that the exact target check stops
-    at the same visit, and the best bits are the state at the start of that
-    sweep with the visited head of its order moved on one sweep. Returns the
-    updated ``(energy, run_e, run_bits, visits, done)`` and ``run_e`` after
-    each sweep that ran.
+    found for every sweep at once with a running maximum, in int16 when the
+    batch allows. A variable with zero cost has p = 1 and accepts every
+    visit. The accepted costs, summed in visit order over the whole batch,
+    give the energy after every visit. The strict running minima below
+    ``run_e`` are the loop's new best states; they are walked in order so
+    that the exact target check stops at the same visit, and the best bits
+    are the state at the start of that sweep with the visited head of its
+    order moved on one sweep.
     """
-    k, n = p.shape
-    # Shuffling a row of arange(n) in place draws what rng.permutation(n) draws.
-    orders = np.tile(np.arange(n), (k, 1))
-    draws = np.empty((k, n))
-    for order, uniforms in zip(orders, draws):
-        rng.shuffle(order)
-        rng.random(out=uniforms)
-    # Indices into a flattened k x n array, in visit order.
-    visit = orders + np.arange(0, k * n, n)[:, None]
-    u = np.empty(k * n)
-    u[visit] = draws
-    sweeps = np.arange(k)[:, None]
-    # A relaxed start acts as a rejection at sweep -1, an excited one at -2.
-    last = np.where(u.reshape(k, n) < p, -1 - excited, sweeps)
-    np.maximum.accumulate(last, axis=0, out=last)
-    # states[m] marks the variables excited at the start of sweep m.
-    states = np.empty((k + 1, n), dtype=np.int8)
+    n = len(excited)
+    shuffle, random, exp = rng.shuffle, rng.random, math.exp
+    t0, decay = schedule.t_initial, schedule.decay
+    arange = np.arange(n)
+    orders = np.empty((batch, n), dtype=np.intp)
+    draws = np.empty((batch, n))
+    rows = list(zip(orders, draws))
+    # Indices into the flattened arrays below, in visit order.
+    offsets = np.arange(0, batch * n, n)[:, None]
+    visit = np.empty((batch, n), dtype=np.intp)
+    u = np.empty((batch, n))  # the uniforms by variable
+    # last[m + 1] is 2 more than the last rejection up to sweep m, so it
+    # reaches batch + 1; only its parity against m is read. Row 0 makes a
+    # relaxed start a rejection at sweep -1 and an excited one at -2.
+    index = np.int16 if batch < 2**15 - 1 else np.int64
+    shifted = np.arange(2, batch + 2, dtype=index)[:, None]
+    last = np.empty((batch + 1, n), dtype=index)
+    states = np.empty((batch + 1, n), dtype=np.int8)  # excited at the start of each sweep
     states[0] = excited
-    states[1:] = (sweeps - last) & 1
-    # Energy after each visit, less the energy at the start of the batch.
-    path = ((states[1:] - states[:-1]) * h_abs).ravel()[visit].ravel().cumsum()
-    # The running minimum at the end of each sweep; most batches find no new
-    # best, and only those that do pay for the running minimum of every visit.
-    ends = np.minimum.accumulate(path.reshape(k, n).min(axis=1))
-    below = run_e - energy
-    visits, done = k * n, False
-    if ends[-1] < below:
-        lowest = np.minimum.accumulate(path)
-        new_low = np.empty(k * n, dtype=bool)
-        new_low[0] = True
-        np.less(path[1:], lowest[:-1], out=new_low[1:])
-        new_low &= path < below
-        for b in np.flatnonzero(new_low).tolist():
-            run_e, best = energy + int(path[b]), b
-            if reaches_target(run_e):
-                visits, done = b + 1, True
-                break
-        m, v = divmod(best, n)
-        bits = states[m].copy()
-        head = orders[m, : v + 1]
-        bits[head] = states[m + 1, head]
-        run_bits = (bits ^ ground).tolist()
-    excited[:] = states[k]
-    sweep_bests = np.minimum(ends[: (visits - 1) // n], below) + energy
-    return (energy + int(path[visits - 1]), run_e, run_bits, visits, done,
-            sweep_bests.tolist() + [run_e])
+    steps = np.empty((batch, n), dtype=np.int64)
+    path = np.empty(batch * n, dtype=np.int64)
+    attempts, done = 0, False
+    for first in range(0, schedule.sweeps, batch):
+        if done:
+            break
+        k = min(batch, schedule.sweeps - first)
+        p = np.array([exp(-c / (t0 * decay**m)) for m in range(first, first + k) for c in costs])
+        p = p[:, None] if len(costs) == 1 else p.reshape(k, -1).take(level_of, 1)
+        order_k, visit_k, u_k, last_k, states_k = (
+            orders[:k], visit[:k], u[:k], last[: k + 1], states[: k + 1])
+        order_k[:] = arange
+        for order, uniforms in rows[:k]:
+            shuffle(order)
+            random(out=uniforms)
+        np.add(order_k, offsets[:k], out=visit_k)
+        u_k.ravel()[visit_k] = draws[:k]
+        np.subtract(1, states[0], out=last_k[0])
+        np.multiply(u_k >= p, shifted[:k], out=last_k[1:])
+        np.maximum.accumulate(last_k, axis=0, out=last_k)
+        np.bitwise_and(last_k[1:] ^ shifted[:k], 1, out=states_k[1:])
+        # Energy after each visit, less the energy at the start of the batch.
+        np.multiply(states_k[1:] - states_k[:-1], h_abs, out=steps[:k])
+        path_k = np.add.accumulate(steps[:k].ravel().take(visit_k.ravel()), out=path[: k * n])
+        below = run_e - energy
+        visits = k * n
+        if sweep_bests is None:
+            lowest = path_k.min()
+        else:  # the running minimum at the end of each sweep
+            ends = np.minimum.accumulate(path_k.reshape(k, n).min(axis=1))
+            lowest = ends[-1]
+        # Most batches find no new best; only those that do pay for the
+        # running minimum of every visit.
+        if lowest < below:
+            running = np.minimum.accumulate(path_k)
+            new_low = np.empty(k * n, dtype=bool)
+            new_low[0] = True
+            np.less(path_k[1:], running[:-1], out=new_low[1:])
+            new_low &= path_k < below
+            for b in np.flatnonzero(new_low).tolist():
+                run_e, best = energy + int(path_k[b]), b
+                if reaches_target(run_e):
+                    visits, done = b + 1, True
+                    break
+            m, v = divmod(best, n)
+            bits = states[m].copy()
+            head = orders[m, : v + 1]
+            bits[head] = states[m + 1, head]
+            run_bits = (bits ^ ground).tolist()
+        if sweep_bests is not None:
+            sweep_bests.extend((np.minimum(ends[: (visits - 1) // n], below) + energy).tolist())
+            sweep_bests.append(run_e)
+        states[0] = states[k]
+        energy += int(path_k[visits - 1])
+        attempts += visits
+    return run_e, run_bits, attempts, done
 
 
 def anneal_black_box(

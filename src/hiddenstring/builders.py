@@ -68,8 +68,9 @@ def build_bv_qubo_from_bits(a: BitVector) -> QuboModel:
     if not isinstance(a, BitVector):
         a = BitVector(a)
     _check_width(len(a))
-    linear = {VarLabel.w(k): 1 - 2 * a[k] for k in range(len(a))}
-    return QuboModel(bv_labels(len(a)), linear)
+    labels = bv_labels(len(a))
+    bias = (Fraction(1), Fraction(-1))  # 1 - 2 a_k, for a_k = 0 and 1
+    return QuboModel(labels, {lab: bias[bit] for lab, bit in zip(labels, a.bits)})
 
 
 def _check_j(j: int, n: int) -> None:

@@ -63,11 +63,18 @@ class BitVector:
     __slots__ = ("_value", "_n")
 
     def __init__(self, bits: Iterable[int]):
-        bits = tuple(int(b) for b in bits)
-        if any(b not in (0, 1) for b in bits):
+        bits = tuple(bits)
+        try:
+            ints = tuple(map(int, bits))
+        except (OverflowError, ValueError):  # inf, nan or text with no int
+            ints = None
+        # A bit must equal its int: 0.5 or 1.7 is refused, not truncated.
+        if ints != bits or not {0, 1}.issuperset(ints):
             raise ValueError(f"bits must be 0 or 1, got {bits!r}")
-        self._value = sum(b << k for k, b in enumerate(bits))
-        self._n = len(bits)
+        # Bytes 0 and 1, most significant first, read in hex as "00" and
+        # "01": every second digit is a bit.
+        self._value = int(bytes(reversed(ints)).hex()[1::2] or "0", 2)
+        self._n = len(ints)
 
     @classmethod
     def from_integer(cls, value: int, n: int) -> "BitVector":

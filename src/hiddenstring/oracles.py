@@ -44,13 +44,17 @@ def _check_simon_width(n: int) -> None:
 def random_hidden_string(n: int, rng: np.random.Generator, *, nonzero: bool = False) -> BitVector:
     """Draw a uniform n-bit hidden string (optionally excluding zero).
 
-    Drawn bit by bit so widths beyond the 64-bit integer range work too.
+    Each try draws the n bits as one ``integers(0, 2, size=n)`` array (bit k
+    is entry k) and packs them into the string's int in one numpy step, so
+    widths beyond the 64-bit integer range work too. With ``nonzero``, an
+    all-zero draw is redrawn.
     """
     _check_width(n)
     while True:
         bits = rng.integers(0, 2, size=n)
-        if not nonzero or bits.any():
-            return BitVector(bits)
+        value = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+        if value or not nonzero:
+            return BitVector._of(value, n)
 
 
 class BvOracle:

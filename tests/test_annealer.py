@@ -58,6 +58,22 @@ class TestAnnealSchedule:
         with pytest.raises(ValueError):
             AnnealSchedule(sweeps=5, t_initial=0.5, t_final=1.0)
 
+    @pytest.mark.parametrize("t_initial, t_final", [
+        (math.inf, 0.01), (math.nan, 0.01), (1.0, math.nan), (math.inf, math.inf),
+    ])
+    def test_rejects_a_temperature_that_is_not_finite(self, t_initial, t_final):
+        # An infinite start made every later sweep's temperature nan.
+        with pytest.raises(ValueError, match=f"finite, got t_initial={t_initial}"):
+            AnnealSchedule(sweeps=5, t_initial=t_initial, t_final=t_final)
+
+    def test_rejects_a_last_sweep_that_underflows(self):
+        # 1e-200 / 1e200 underflows to 0.0, so decay and the last sweep's
+        # temperature do too, and pricing a flip divided by zero.
+        with pytest.raises(ValueError, match="underflows to 0.0: t_initial=1e[+]200"):
+            AnnealSchedule(sweeps=2, t_initial=1e200, t_final=1e-200)
+        sched = AnnealSchedule(sweeps=2, t_initial=1e150, t_final=1e-150)
+        assert sched.temperature(1) > 0
+
 
 class TestDefaultSchedule:
     def test_sized_to_model(self):
@@ -152,7 +168,7 @@ class TestAnneal:
         den, h, couplers = _compile(model)
         assert not couplers and not _fits_int64(h, couplers)
         floor = -2**63 - 2**60
-        with mock.patch.object(annealer, "_diagonal_sweep", side_effect=AssertionError):
+        with mock.patch.object(annealer, "_diagonal_sweeps", side_effect=AssertionError):
             free = anneal(model, seed=4)
             targeted = anneal(model, seed=4, target_energy=float(floor))
         assert free.best_energy == floor

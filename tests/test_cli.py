@@ -176,6 +176,13 @@ class TestValidation:
             ("solve --problem simon --n 4 --restarts 0", "restarts must be positive, got 0"),
             ("bench --problem bv --n 4 --trials 0", "trials must be positive, got 0"),
             ("solve --problem bv --n 4 --t0 1 --t1 2", "t_initial=1.0, t_final=2.0"),
+            ("solve --problem bv --n 8 --a 5 --t0 inf --t1 0.01 --sweeps 5",
+             "temperatures must be finite, got t_initial=inf"),
+            ("solve --problem simon --n 4 --t0 nan --t1 0.01", "finite, got t_initial=nan"),
+            ("solve --problem bv --n 8 --a 5 --t0 1e200 --t1 1e-200 --sweeps 2",
+             "temperature underflows to 0.0: t_initial=1e+200, t_final=1e-200, sweeps=2"),
+            ("solve --problem simon --n 4 --t0 1e200 --t1 1e-200 --sweeps 2",
+             "temperature underflows to 0.0"),
         ],
     )
     def test_library_checks_exit_two(self, capsys, argv, named):

@@ -281,6 +281,17 @@ def test_batch_size_does_not_change_the_anneal(name, visits, above_ground):
     assert batched == sequential
 
 
+def test_a_batch_past_int16_anneals_as_the_sequential_loop():
+    # One batch of 33 000 sweeps: rejection sweeps past 32 766 do not fit
+    # in int16, so the kernel must hold them wider. The schedule stays hot
+    # so long that seed 2 first reaches the ground after sweep 32 767,
+    # where a wrapped sweep index would show.
+    sched = AnnealSchedule(sweeps=33_000, t_initial=1e9, t_final=0.7)
+    batched, sequential = batched_and_sequential(coupler_free([1] * 30), sched, 10**6, seed=2)
+    assert sequential.trajectory.index(0.0) > 32_767
+    assert batched == sequential
+
+
 def stop_visit(model, sched, seed):
     """(sweep, visit), both 0-based, at which the last restart reaches the ground."""
     result = anneal(model, sched, seed=seed, target_energy=ground_target(model))

@@ -103,6 +103,9 @@ class TestBitVector:
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
             BitVector([0, 2, 1])
+        for bits in ([0.5, 1], [0, 1.7], [np.float64(0.5)], [float("inf")], [float("nan")], ["x"]):
+            with pytest.raises(ValueError, match="bits must be 0 or 1"):
+                BitVector(bits)
         with pytest.raises(ValueError):
             BitVector.from_integer(8, 3)
         with pytest.raises(ValueError):

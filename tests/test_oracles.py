@@ -205,3 +205,26 @@ class TestRandomHiddenString:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             random_hidden_string(0, np.random.default_rng(0))
+
+    @staticmethod
+    def bit_by_bit(n, rng, nonzero=False):
+        """The string built bit by bit from the same draws."""
+        while True:
+            bits = rng.integers(0, 2, size=n).tolist()
+            if any(bits) or not nonzero:
+                return BitVector.from_integer(sum(b << k for k, b in enumerate(bits)), n)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 130])
+    def test_packs_the_drawn_bits(self, n):
+        rng, plain = np.random.default_rng(n), np.random.default_rng(n)
+        for nonzero in [False, True] * 10:
+            assert random_hidden_string(n, rng, nonzero=nonzero) == self.bit_by_bit(n, plain, nonzero)
+        assert rng.random() == plain.random()
+
+    def test_nonzero_redraws_an_all_zero_string(self):
+        # Seed 11's first two one-bit draws are both 0.
+        first = np.random.default_rng(11)
+        assert [first.integers(0, 2, size=1).tolist() for _ in range(2)] == [[0], [0]]
+        rng, plain = np.random.default_rng(11), np.random.default_rng(11)
+        assert random_hidden_string(1, rng, nonzero=True) == self.bit_by_bit(1, plain, True)
+        assert rng.random() == plain.random()
