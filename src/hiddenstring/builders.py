@@ -21,6 +21,7 @@ bit j-1 of the vector); the parity problem indexes 0..n-1.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .model import BitVector, QuboModel, VarLabel
@@ -37,8 +38,9 @@ __all__ = [
 ]
 
 
+@functools.cache
 def bv_labels(n: int) -> tuple[VarLabel, ...]:
-    """Parity-model variable order: w_0 .. w_{n-1}."""
+    """Parity-model variable order: w_0 .. w_{n-1}, cached per n (it is immutable)."""
     return tuple(VarLabel.w(k) for k in range(n))
 
 
@@ -86,12 +88,8 @@ def inequality_penalty(j: int, n: int) -> QuboModel:
     All 2n bit labels are present; only the three j-terms are nonzero.
     """
     _check_j(j, n)
-    labels = tuple(VarLabel.w(i) for i in range(1, n + 1)) + tuple(
-        VarLabel.y(i) for i in range(1, n + 1)
-    )
-    linear = {VarLabel.w(j): -1, VarLabel.y(j): 3}
-    quadratic = {(VarLabel.w(j), VarLabel.y(j)): -2}
-    return QuboModel(labels, linear, quadratic)
+    wj, yj = VarLabel.w(j), VarLabel.y(j)
+    return QuboModel(simon_labels(n)[: 2 * n], {wj: -1, yj: 3}, {(wj, yj): -2})
 
 
 def build_simon_literal_qubo(n: int, j: int) -> QuboModel:
@@ -103,12 +101,12 @@ def build_simon_literal_qubo(n: int, j: int) -> QuboModel:
     """
     _check_simon_width(n)
     _check_j(j, n)
-    penalty = inequality_penalty(j, n)
-    gw_gy = QuboModel(
-        (VarLabel.gw(), VarLabel.gy()),
-        {VarLabel.gw(): 1, VarLabel.gy(): -1},
+    wj, yj = VarLabel.w(j), VarLabel.y(j)
+    return QuboModel(
+        simon_labels(n),
+        {wj: -1, yj: 3, VarLabel.gw(): 1, VarLabel.gy(): -1},
+        {(wj, yj): -2},
     )
-    return penalty + gw_gy
 
 
 def coupled_value(gw: int, gy: int, wj: int, yj: int) -> int:

@@ -7,8 +7,8 @@ status is 0 on success, 1 when a solve finishes but fails (report says
 A flag's value is checked by the code that reads it: the parser checks
 each flag's literal form, the CLI checks only which flags a command needs
 and the pairs of flags that must agree, and the library checks every
-range (n, ``--a``, ``--j``, ``--budget``, the schedule, ``--trials``)
-before its first oracle query; its ``ValueError`` exits 2. A command
+range (n, ``--a``, ``--j``, ``--budget``, the schedule, ``--trials``,
+the exhaustive cap) before its first oracle query; its ``ValueError`` exits 2. A command
 ignores the flags it does not read, whatever their value.
 
 Flags can come from a JSON object in a ``--config`` file. Each key is read
@@ -266,7 +266,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     # seeded per (seed, n, trial) and do not depend on the other sizes. Every
     # size is checked first: before an override is sized to it, and before
     # the trials of the sizes ahead of it run.
-    _check_sizes(args.problem, _n_list(args), args.j_policy, args.j)
+    _check_sizes(args.problem, _n_list(args), args.j_policy, args.j, args.solver)
     rows = [
         row
         for n in _n_list(args)

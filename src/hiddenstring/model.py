@@ -51,6 +51,15 @@ __all__ = [
 EXHAUSTIVE_CAP = 24
 
 
+def _check_exhaustive(n_vars: int) -> None:
+    """Refuse to enumerate more than EXHAUSTIVE_CAP variables."""
+    if n_vars > EXHAUSTIVE_CAP:
+        raise ValueError(
+            f"exhaustive enumeration of {n_vars} variables would visit 2^{n_vars} "
+            f"assignments; cap is {EXHAUSTIVE_CAP}"
+        )
+
+
 class BitVector:
     """Immutable fixed-length sequence of 0/1 values.
 
@@ -301,9 +310,6 @@ class QuboModel:
         )
         return den, tuple(h), couplers
 
-    def position(self, label: VarLabel) -> int:
-        return self.labels.index(label)
-
     def linear_coefficient(self, label: VarLabel) -> Fraction:
         return self.linear.get(label, Fraction(0))
 
@@ -520,15 +526,13 @@ class Spectrum:
         for v, e in zip(self._order, self._scaled):
             yield BitVector.from_integer(int(v), n), Fraction(int(e), den)
 
-    def __len__(self) -> int:
-        return len(self._order)
 
-
-def exhaustive_solve(model: QuboModel, cap: int = EXHAUSTIVE_CAP) -> Spectrum:
+def exhaustive_solve(model: QuboModel) -> Spectrum:
     """Enumerate every assignment and return the full sorted spectrum.
 
     This is the verification oracle the rest of the package is checked
-    against. Refuses models with more than ``cap`` variables.
+    against. Refuses models with more than :data:`EXHAUSTIVE_CAP` (24)
+    variables.
 
     The sort key is the energy minus the ground energy, held in the
     smallest unsigned dtype that fits the span (uint8, uint16, uint32 or
@@ -537,12 +541,7 @@ def exhaustive_solve(model: QuboModel, cap: int = EXHAUSTIVE_CAP) -> Spectrum:
     by assignment integer, so equal energies stay in ascending integer
     order: that is the tie-break.
     """
-    n = model.n_vars
-    if n > cap:
-        raise ValueError(
-            f"exhaustive enumeration of {n} variables would visit 2^{n} "
-            f"assignments; cap is {cap}"
-        )
+    _check_exhaustive(model.n_vars)
     energies, den = _scaled_energy_table(model)
     lo = energies.min()
     keys = (energies - lo).astype(np.min_scalar_type(energies.max() - lo))

@@ -107,21 +107,16 @@ class SimonOracle:
         if self._a == 0:
             raise ValueError("the hidden string of a 2-to-1 oracle must be nonzero, got a=0")
         self._n = n
-        self._seed = int(seed)
         self._queries = 0
         self._t = self._a.bit_length() - 1
         self._mask = (1 << (n - 1)) - 1
-        rng = np.random.default_rng(self._seed)
+        rng = np.random.default_rng(int(seed))
         self._c, odd = (int.from_bytes(rng.bytes(n), "little") & self._mask for _ in range(2))
         self._odd = odd | 1
 
     @property
     def n(self) -> int:
         return self._n
-
-    @property
-    def seed(self) -> int:
-        return self._seed
 
     @property
     def queries(self) -> int:

@@ -31,12 +31,11 @@ from .builders import _check_j, build_bv_qubo, build_simon_literal_qubo, coupled
 # Not called here since the coupled search memoizes labels, but kept as an
 # attribute of this module: benchmarks/tracer.py wraps it by this name.
 from .builders import simon_coupled_energy  # noqa: F401
-from .model import BitVector, _compile, exhaustive_solve
+from .model import BitVector, _check_exhaustive, _compile, exhaustive_solve
 from .oracles import BvOracle, SimonOracle, _check_simon_width, _check_width, random_hidden_string
 
 __all__ = [
     "BV_PROBES",
-    "MIN_VERIFY_PROBES",
     "ExperimentReport",
     "xor_recover",
     "check_collision",
@@ -47,9 +46,9 @@ __all__ = [
 ]
 
 # Verification probes appended to every run. BV always uses exactly
-# BV_PROBES, making its per-run oracle cost n + BV_PROBES queries flat.
+# BV_PROBES, making its per-run oracle cost n + BV_PROBES queries flat;
+# a Simon candidate that passes costs 2 * _VERIFY_PROBES queries.
 BV_PROBES = 16
-MIN_VERIFY_PROBES = 4
 _VERIFY_PROBES = 16
 
 # The schema version of reports and of the CLI's bench and spectrum payloads.
@@ -112,29 +111,22 @@ def check_collision(oracle: SimonOracle, w: BitVector, y: BitVector) -> bool:
     return oracle.query(w) == oracle.query(y)
 
 
-def verify_simon(
-    oracle: SimonOracle,
-    candidate: BitVector,
-    *,
-    probes: int = _VERIFY_PROBES,
-    seed: int = 0,
-) -> bool:
+def verify_simon(oracle: SimonOracle, candidate: BitVector, *, seed: int = 0) -> bool:
     """Probe whether ``candidate`` behaves like the oracle's hidden string.
 
-    Runs ``probes - 1`` collision probes (g(e) must equal g(e ^ candidate))
-    plus one separation probe (g(e) must differ from g(e ^ d) for a random
-    d outside {0, candidate}). Under the two-to-one promise the test is
-    exact: a wrong nonzero candidate fails the first collision probe.
+    Runs 15 collision probes (g(e) must equal g(e ^ candidate)) plus one
+    separation probe (g(e) must differ from g(e ^ d) for a random d outside
+    {0, candidate}), so a passing check costs 32 queries. Under the
+    two-to-one promise the test is exact: a wrong nonzero candidate fails
+    the first collision probe.
     """
-    if probes < MIN_VERIFY_PROBES:
-        raise ValueError(f"need at least {MIN_VERIFY_PROBES} probes")
     n = oracle.n
     if len(candidate) != n:
         raise ValueError("candidate length does not match the oracle")
     if candidate.to_integer() == 0:
         return False
     rng = _seeded_rng(seed, 0xC0111DE)
-    for _ in range(probes - 1):
+    for _ in range(_VERIFY_PROBES - 1):
         e = random_hidden_string(n, rng)
         if oracle.query(e) != oracle.query(e ^ candidate):
             return False
@@ -170,10 +162,13 @@ def solve_bv(
     state with the chosen solver ("anneal" or "exhaustive"), reads the
     hidden-string candidate straight off the ground state, then checks it
     against the oracle on BV_PROBES random inputs. Total oracle cost is
-    exactly ``n + BV_PROBES`` queries on every run, success or not.
+    exactly ``n + BV_PROBES`` queries on every run, success or not; an
+    exhaustive solve past EXHAUSTIVE_CAP is refused before the first query.
     """
     if solver not in _SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
+    if solver == "exhaustive":
+        _check_exhaustive(oracle.n)
     start = time.perf_counter()
     n = oracle.n
     q0 = oracle.queries
@@ -408,12 +403,16 @@ def solve_simon(
     )
 
 
-def _check_sizes(problem: str, n_values: Sequence[int], j_policy: str, j: int | None) -> None:
+def _check_sizes(
+    problem: str, n_values: Sequence[int], j_policy: str, j: int | None, solver: str
+) -> None:
     """Reject every size in ``n_values`` (or fixed ``j`` past it) that a trial would reject."""
     if len(n_values) == 0:
         raise ValueError("n_values needs at least one size")
     for n in n_values:
         _check_width(n)
+        if problem == "bv" and solver == "exhaustive":
+            _check_exhaustive(n)
         if problem == "simon":
             _check_simon_width(n)
             if j_policy == "fixed" and j is not None:
@@ -444,7 +443,7 @@ def bench_calls(
     """
     if problem not in _PROBLEMS:
         raise ValueError(f"unknown problem {problem!r}")
-    _check_sizes(problem, n_values, j_policy, j)
+    _check_sizes(problem, n_values, j_policy, j, solver)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if problem == "simon" and solver != "anneal":

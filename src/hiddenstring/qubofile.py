@@ -41,8 +41,8 @@ def _format_value(c: Fraction) -> str:
     return f"{'-' if c < 0 else ''}{whole}.{frac:06d}"
 
 
-def export_qubo(model: QuboModel, destination: str | Path | None = None) -> str:
-    """Render a model as a ``.qubo`` document; optionally also write a file.
+def export_qubo(model: QuboModel) -> str:
+    """Render a model as a ``.qubo`` document; writing it is the caller's job.
 
     Values whose denominator does not divide 10^6 (e.g. 1/3) are rounded to
     six decimals, from the exact value and half to even, never through a
@@ -54,10 +54,7 @@ def export_qubo(model: QuboModel, destination: str | Path | None = None) -> str:
     lines = [f"p qubo 0 {model.n_vars} {len(diagonal)} {len(off)}"]
     lines.extend(f"{i} {i} {_format_value(c)}" for i, c in diagonal)
     lines.extend(f"{i} {j} {_format_value(c)}" for i, j, c in off)
-    text = "\n".join(lines) + "\n"
-    if destination is not None:
-        Path(destination).write_text(text, encoding="ascii")
-    return text
+    return "\n".join(lines) + "\n"
 
 
 def _read_source(source: str | Path) -> str:

@@ -14,7 +14,7 @@ from hiddenstring.builders import (
     simon_coupled_energy,
     simon_labels,
 )
-from hiddenstring.model import BitVector, VarLabel, exhaustive_solve, qubo_energy
+from hiddenstring.model import BitVector, QuboModel, VarLabel, exhaustive_solve, qubo_energy
 from hiddenstring.oracles import BvOracle, SimonOracle, random_hidden_string
 
 
@@ -60,6 +60,10 @@ class TestBvBuilder:
     def test_bits_build_rejects_empty_hidden_string(self):
         with pytest.raises(ValueError, match="got n=0"):
             build_bv_qubo_from_bits([])
+
+    def test_labels_are_built_once_per_size(self):
+        assert bv_labels(128) is bv_labels(128)
+        assert bv_labels(3) == (VarLabel.w(0), VarLabel.w(1), VarLabel.w(2))
 
 
 class TestInequalityPenalty:
@@ -119,6 +123,16 @@ class TestSimonLiteralModel:
             assert state[n + j - 1] == 0
             assert state[2 * n] == 0
             assert state[2 * n + 1] == 1
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_is_the_penalty_plus_the_free_outputs(self, n, j):
+        # The same model, in the same term order, as the sum of its parts.
+        gw, gy = VarLabel.gw(), VarLabel.gy()
+        model = build_simon_literal_qubo(n, j)
+        summed = inequality_penalty(j, n) + QuboModel((gw, gy), {gw: 1, gy: -1})
+        assert repr(model) == repr(summed)
+        assert model._compiled == summed._compiled
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError, match="got n=1"):

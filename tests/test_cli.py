@@ -183,6 +183,7 @@ class TestValidation:
              "temperature underflows to 0.0: t_initial=1e+200, t_final=1e-200, sweeps=2"),
             ("solve --problem simon --n 4 --t0 1e200 --t1 1e-200 --sweeps 2",
              "temperature underflows to 0.0"),
+            ("solve --problem bv --n 25 --solver exhaustive", "cap is 24"),
         ],
     )
     def test_library_checks_exit_two(self, capsys, argv, named):
@@ -205,6 +206,9 @@ class TestValidation:
             # So does a fixed j past a later size.
             ("bench --problem simon --n 8,4 --j-policy fixed --j 6 --trials 20",
              "j must be in 1..4, got 6"),
+            # And a size past the exhaustive cap.
+            ("bench --problem bv --n 4,30 --solver exhaustive --trials 3",
+             "exhaustive enumeration of 30 variables would visit 2^30 assignments; cap is 24"),
         ],
     )
     def test_bench_checks_every_size_before_any_trial(self, capsys, monkeypatch, argv, named):
@@ -334,7 +338,7 @@ class TestSpectrum:
 
     def test_from_file(self, capsys, tmp_path):
         path = tmp_path / "m.qubo"
-        export_qubo(build_bv_qubo_from_bits([1, 1, 0]), path)
+        path.write_text(export_qubo(build_bv_qubo_from_bits([1, 1, 0])), encoding="ascii")
         code, out, _ = run(capsys, "spectrum", "--in", str(path))
         assert code == 0
         assert json.loads(out)["ground_energy"] == "-2"

@@ -457,8 +457,5 @@ class TestSpectrum:
 
     def test_refuses_oversized_models(self):
         labels = tuple(VarLabel.plain(i) for i in range(EXHAUSTIVE_CAP + 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"cap is {EXHAUSTIVE_CAP}"):
             exhaustive_solve(QuboModel(labels))
-        assert exhaustive_solve(QuboModel(labels[:3]), cap=3) is not None
-        with pytest.raises(ValueError):
-            exhaustive_solve(QuboModel(labels[:5]), cap=4)

@@ -16,7 +16,6 @@ from hiddenstring.model import BitVector
 from hiddenstring.oracles import BvOracle, SimonOracle, random_hidden_string
 from hiddenstring.protocol import (
     BV_PROBES,
-    MIN_VERIFY_PROBES,
     ExperimentReport,
     bench_calls,
     check_collision,
@@ -74,17 +73,12 @@ class TestVerifySimon:
             candidate = BitVector.from_integer(cv, 4)
             assert verify_simon(oracle, candidate, seed=1) == (candidate == a)
 
-    def test_probe_floor_enforced(self):
-        oracle = SimonOracle(BitVector.from_integer(3, 2), seed=0)
-        with pytest.raises(ValueError):
-            verify_simon(oracle, BitVector.from_integer(3, 2), probes=MIN_VERIFY_PROBES - 1)
-
     def test_query_cost_of_a_passing_check(self):
         a = BitVector.from_integer(0b0111, 4)
         oracle = SimonOracle(a, seed=9)
         before = oracle.queries
-        assert verify_simon(oracle, a, probes=8, seed=0)
-        assert oracle.queries - before == 2 * 8
+        assert verify_simon(oracle, a, seed=0)
+        assert oracle.queries - before == 2 * 16
 
     def test_rejects_length_mismatch(self):
         oracle = SimonOracle(BitVector.from_integer(3, 2), seed=0)
@@ -133,6 +127,12 @@ class TestSolveBv:
     def test_rejects_unknown_solver(self):
         with pytest.raises(ValueError):
             solve_bv(BvOracle(BitVector.from_integer(1, 2)), solver="brute")
+
+    def test_exhaustive_cap_is_checked_before_any_query(self):
+        oracle = BvOracle(BitVector.from_integer(1, 25))
+        with pytest.raises(ValueError, match="cap is 24"):
+            solve_bv(oracle, solver="exhaustive")
+        assert oracle.queries == 0
 
 
 class TestCoupledSearch:
@@ -377,6 +377,8 @@ class TestBenchCalls:
             ("simon", [4, 0], {}, "at least one bit, got n=0"),
             # A fixed j past a later size stops the run before the first size's trials.
             ("simon", [8, 4], {"j_policy": "fixed", "j": 6}, r"j must be in 1\.\.4, got 6"),
+            # So does a size past the exhaustive cap.
+            ("bv", [12, 30], {"solver": "exhaustive"}, "30 variables .* cap is 24"),
         ],
     )
     def test_rejects_every_bad_size_before_any_trial(self, problem, n_values, options, named):
