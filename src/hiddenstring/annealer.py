@@ -6,54 +6,60 @@ schedule, random visit order within each sweep, and independent restarts.
 
 Everything is driven by numpy's PCG64 generator, seeded explicitly, so a
 run is reproducible from its (model, schedule, seed) triple alone. Restart
-r draws from ``SeedSequence((seed, r))``.
+r draws from two streams: ``SeedSequence((seed, r))`` draws its start
+state and then the visit order of every sweep, and ``SeedSequence((seed,
+r, 1))`` draws every sweep's uniforms. Sweep m visits in the order of the
+m-th ``permutation(n)`` of the first stream and accepts with the m-th
+``random(n)`` of the second. Results for a given seed therefore differ
+from versions that drew orders and uniforms alternately from one stream;
+their distribution does not.
 
-One restart loop, two kernels. :func:`_restart_loop` seeds each restart,
-draws its start, tests the early stop, records the trajectory, merges the
-restarts' best states and builds the result; once per restart it calls a
-kernel that runs the sweeps with its visit loop inline. The explicit
-kernel (:func:`anneal`) works on the model compiled to exact ints over a
-common denominator; on a model without couplers whose costs fit in int64 (the
-Bernstein-Vazirani model among them), a batch of sweeps, about 4 096
-visits, is a few numpy array operations, with identical results. Its
-arrays are made once per restart, and each batch prices its sweeps with
-the float expression of :meth:`AnnealSchedule.temperature`, one price per
-sweep and cost level, broadcast over the row when there is one level. The
-black-box kernel (:func:`anneal_black_box`) prices every flip with one
-evaluation of an opaque energy callback (the oracle-coupled search, whose
-objective exists only behind oracle queries); its state is one integer,
-flipped with an xor and handed to the callback as that bare int. Energies
-are compared exactly, as ints or the callback's own values, and so is an
-int or Fraction early-stop target; only a float target and the
-trajectory round energies to floats.
+One draw path, one restart loop, two kernels. :func:`_sweep_draws` draws
+the sweeps of a restart a block at a time, about 4 096 visits per block,
+with one ``permuted`` and one ``random`` call per block; the block size
+changes no value. :func:`_restart_loop` seeds each restart, draws its
+start, tests the early stop, records the trajectory, merges the restarts'
+best states and builds the result; once per restart it calls a kernel
+that runs the sweeps with its visit loop inline. The explicit kernel
+(:func:`anneal`) works on the model compiled to exact ints over a common
+denominator; on a model without couplers whose costs fit in int64 (the
+Bernstein-Vazirani model among them), each block of sweeps is a few numpy
+array operations, with identical results. Its arrays are made once per
+restart, and each block prices its sweeps with the float expression of
+:meth:`AnnealSchedule.temperature`, one price per sweep and cost level,
+broadcast over the row when there is one level. The black-box kernel
+(:func:`anneal_black_box`) prices every flip with one evaluation of an
+opaque energy callback (the oracle-coupled search, whose objective exists
+only behind oracle queries); its state is one integer, flipped with an
+xor and handed to the callback as that bare int. Energies are compared
+exactly, as ints or the callback's own values, and so is an int or
+Fraction early-stop target; only a float target and the trajectory round
+energies to floats.
 
 Both visit loops keep per-visit interpreter work to what the dynamics
-need. A restart binds its generator's ``shuffle`` and ``random`` and the
-schedule's ``temperature`` once, and makes its draw buffers once: a list
-of the n visit targets (variable indices, or in the black box their bit
-masks) and one float array. A sweep shuffles a copy of the list in place
-for its visit order and refills the array with ``random(out=...)`` for
-its uniforms. These are draw for draw what ``permutation(n)`` and
-``random(n)`` draw, at less fixed numpy cost per sweep. The sweep walks
-``zip(order, uniforms)``, counts its n attempts up front, and on an early
-stop takes back the visits after the stopping one, found by its position
-in the order. The explicit loop updates the neighbours' fields on an
-accepted flip by branching on the bit instead of multiplying by a sign;
-the black-box loop xors the visited bit's mask into a local and keeps it
-only on accept, so a rejected flip costs no second xor. Each uphill flip
-is priced where it is visited, as ``exp(-(dE/den)/T)`` (or
-``exp(-dE/T)``), so every draw, result and trajectory matches a plain
-loop that prices and counts visit by visit.
+need. A restart binds the schedule's ``temperature`` once and takes each
+sweep's order and uniforms as two lists. The sweep walks ``zip(order,
+uniforms)``, counts its n attempts up front, and on an early stop takes
+back the visits after the stopping one, found by its position in the
+order. The explicit loop updates the neighbours' fields on an accepted
+flip by branching on the bit instead of multiplying by a sign; the
+black-box loop xors the visited bit's mask into a local and keeps it only
+on accept, so a rejected flip costs no second xor. Each uphill flip is
+priced where it is visited, as ``exp(-(dE/den)/T)`` (or ``exp(-dE/T)``),
+so every draw, result and trajectory matches a plain loop that prices and
+counts visit by visit.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -68,9 +74,17 @@ __all__ = [
     "anneal_black_box",
 ]
 
-# Visits per batch of coupler-free sweeps: enough to amortise numpy's
-# per-call overhead, while each batch array stays near 32 KB.
+# Visits per block of drawn sweeps: enough to amortise numpy's per-call
+# overhead, while each block array stays near 32 KB. Changes no value.
 _BATCH_VISITS = 4096
+
+
+def _as_count(name: str, value) -> int:
+    """``value`` as an int (numpy ints pass), or a ValueError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -89,9 +103,9 @@ class AnnealSchedule:
     restarts: int = 1
 
     def __post_init__(self):
-        if self.sweeps < 1:
+        if _as_count("sweeps", self.sweeps) < 1:
             raise ValueError(f"sweeps must be positive, got {self.sweeps}")
-        if self.restarts < 1:
+        if _as_count("restarts", self.restarts) < 1:
             raise ValueError(f"restarts must be positive, got {self.restarts}")
         if not (math.isfinite(self.t_initial) and math.isfinite(self.t_final)):
             raise ValueError(
@@ -159,8 +173,9 @@ def default_schedule(model: QuboModel) -> AnnealSchedule:
 def _seeded_rng(*path: int) -> np.random.Generator:
     """PCG64 generator seeded from a path of integers, e.g. ``(seed, restart)``.
 
-    Every seeded stream in the package (annealer restarts, protocol probes,
-    CLI hidden strings) is derived here, and every child seed (solver calls,
+    Every seeded stream in the package (an annealer restart's order stream
+    ``(seed, r)`` and uniform stream ``(seed, r, 1)``, protocol probes, CLI
+    hidden strings) is derived here, and every child seed (solver calls,
     oracle label tables) by :func:`_spawn_seed`.
     """
     return np.random.default_rng(np.random.SeedSequence(path))
@@ -169,6 +184,46 @@ def _seeded_rng(*path: int) -> np.random.Generator:
 def _spawn_seed(path: tuple[int, ...]) -> int:
     """Deterministic 63-bit child seed from a path of integers."""
     return int(np.random.SeedSequence(path).generate_state(1, np.uint64)[0] >> 1)
+
+
+def _sweeps_per_block(n: int, sweeps: int) -> int:
+    """Sweeps drawn per block: about ``_BATCH_VISITS`` visits, at most all of them."""
+    return min(max(1, _BATCH_VISITS // n), sweeps)
+
+
+def _sweep_draws(
+    order_rng: np.random.Generator, uniform_path: tuple[int, ...], n: int, sweeps: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield ``(first, orders, uniforms)`` for each block of one restart's sweeps.
+
+    Row m of a block is sweep ``first + m``. Its visit order is the next
+    ``permutation(n)`` of ``order_rng`` and its uniforms are the next
+    ``random(n)`` of the generator seeded from ``uniform_path``. A block
+    takes one ``permuted`` call over rows reset to ``arange(n)`` and one
+    ``random`` call, which draw exactly what those per-sweep calls draw,
+    so the block size changes no value. The rows are views of buffers
+    that the next block overwrites, and the last block may be short. The
+    uniform stream is seeded when the first block is drawn.
+    """
+    block = _sweeps_per_block(n, sweeps)
+    uniform_rng = _seeded_rng(*uniform_path)
+    order_buffer, uniform_buffer = np.empty((block, n), dtype=np.intp), np.empty((block, n))
+    arange = np.arange(n)
+    for first in range(0, sweeps, block):
+        k = min(block, sweeps - first)
+        orders, uniforms = order_buffer[:k], uniform_buffer[:k]
+        orders[:] = arange
+        order_rng.permuted(orders, axis=1, out=orders)
+        uniform_rng.random(out=uniforms)
+        yield first, orders, uniforms
+
+
+def _each_sweep(draws) -> Iterator[tuple[int, list[int], list[float]]]:
+    """The sweeps of :func:`_sweep_draws` one at a time, as ``(sweep, order,
+    uniforms)`` with the order and uniforms as lists."""
+    for first, orders, uniforms in draws:
+        yield from zip(itertools.count(first), map(np.ndarray.tolist, orders),
+                       map(np.ndarray.tolist, uniforms))
 
 
 def _restart_loop(
@@ -182,8 +237,9 @@ def _restart_loop(
 ) -> AnnealResult:
     """Run the restarts of one annealing run, one ``kernel`` call each.
 
-    ``kernel(rng, start, reaches_target, sweep_bests)`` anneals from the
-    n-bit ``start`` and returns ``(run_e, run_value, evaluations, done)``:
+    ``kernel(draws, start, reaches_target, sweep_bests)`` anneals from the
+    n-bit ``start``, taking its sweeps from the :func:`_sweep_draws`
+    iterator ``draws``, and returns ``(run_e, run_value, evaluations, done)``:
     its best energy and state (an int, bit k is variable k), its energy
     evaluations, and whether ``reaches_target`` fired on a new best, which
     ends the run. It appends its best energy after each sweep to the list
@@ -221,8 +277,9 @@ def _restart_loop(
     for r in range(schedule.restarts):
         rng = _seeded_rng(seed, r)
         start = rng.integers(0, 2, size=n)
+        draws = _sweep_draws(rng, (seed, r, 1), n, schedule.sweeps)
         sweep_bests: list = []
-        run_e, run_value, calls, done = kernel(rng, start, reaches_target, sweep_bests)
+        run_e, run_value, calls, done = kernel(draws, start, reaches_target, sweep_bests)
         evaluations += calls
         if trajectory is not None:
             trajectory.extend(to_float(min(best_e, e)) for e in sweep_bests)
@@ -257,7 +314,12 @@ def anneal(
     """Metropolis single-flip search over an explicit model.
 
     Each sweep visits the variables in a fresh random order; a flip with
-    cost dE is accepted with probability min(1, exp(-dE/T)). The model is
+    cost dE is accepted with probability min(1, exp(-dE/T)). Restart r
+    draws its start and then each sweep's order (a ``permutation(n)``) from
+    ``SeedSequence((seed, r))``, and each sweep's uniforms (a
+    ``random(n)``) from ``SeedSequence((seed, r, 1))``, so a given seed
+    gives other results than versions that drew both from one stream. The
+    model is
     compiled to integers over one common denominator ``den``, so local
     fields, flip costs and running energies are exact ints, kept
     incrementally at O(degree) per accepted flip. Each sweep prices a cost
@@ -266,8 +328,8 @@ def anneal(
     bit sequence; its energy is reported exactly, as ``Fraction(e, den)``.
 
     A model without couplers, whose summed cost magnitudes stay below 2**63,
-    takes ``_BATCH_VISITS // n`` sweeps at a time (at least one, at most
-    the schedule's) as a few whole-array numpy operations
+    takes a block of sweeps at a time (``_BATCH_VISITS // n``, at least
+    one, at most the schedule's) as a few whole-array numpy operations
     (:func:`_diagonal_sweeps`): no visit changes another variable's cost, so
     each variable's acceptances follow from its own uniforms and the sweep
     temperatures alone. It draws the same numbers and returns the same
@@ -300,10 +362,9 @@ def anneal(
         ground = (h_arr < 0).astype(np.int8)
         levels, level_of = np.unique(h_abs, return_inverse=True)
         costs = [c / den for c in levels.tolist()]  # priced as the sequential loop does
-        batch = min(max(1, _BATCH_VISITS // n), schedule.sweeps)
-    exp = math.exp
+    exp, temperature = math.exp, schedule.temperature
 
-    def restart(rng, start, reaches_target, sweep_bests):
+    def restart(draws, start, reaches_target, sweep_bests):
         s = start.tolist()
         field = list(h)
         for i, j, w in couplers:
@@ -316,24 +377,18 @@ def anneal(
         run_e, run_bits = energy, s.copy()
         done = reaches_target(run_e)
         attempts = 0
-        if diagonal:
-            if not done:
-                run_e, run_bits, attempts, done = _diagonal_sweeps(
-                    rng, start.astype(np.int8) ^ ground, ground, h_abs, level_of, costs,
-                    schedule, batch, energy, run_e, run_bits, reaches_target,
-                    sweep_bests if record_trajectory else None)
+        if done:  # the start state is at the target: no sweeps
+            pass
+        elif diagonal:
+            run_e, run_bits, attempts, done = _diagonal_sweeps(
+                draws, start.astype(np.int8) ^ ground, ground, h_abs, level_of, costs,
+                schedule, energy, run_e, run_bits, reaches_target,
+                sweep_bests if record_trajectory else None)
         else:
-            shuffle, random, temperature = rng.shuffle, rng.random, schedule.temperature
-            indices, uniforms = list(range(n)), np.empty(n)
-            for sweep in range(schedule.sweeps):
-                if done:
-                    break
+            for sweep, order, uniforms in _each_sweep(draws):
                 t = temperature(sweep)
-                order = indices.copy()
-                shuffle(order)
-                random(out=uniforms)
                 attempts += n
-                for i, u in zip(order, uniforms.tolist()):
+                for i, u in zip(order, uniforms):
                     de = -field[i] if s[i] else field[i]
                     if de > 0 and u >= exp(-(de / den) / t):
                         continue
@@ -353,20 +408,21 @@ def anneal(
                             done = True
                             break
                 sweep_bests.append(run_e)
+                if done:
+                    break
         return run_e, sum(b << k for k, b in enumerate(run_bits)), attempts, done
 
     return _restart_loop(restart, n, schedule, seed, target_energy, record_trajectory, den)
 
 
 def _diagonal_sweeps(
-    rng: np.random.Generator,
+    draws,
     excited: np.ndarray,
     ground: np.ndarray,
     h_abs: np.ndarray,
     level_of: np.ndarray,
     costs: list[float],
     schedule: AnnealSchedule,
-    batch: int,
     energy: int,
     run_e: int,
     run_bits: list[int],
@@ -375,24 +431,24 @@ def _diagonal_sweeps(
 ) -> tuple[int, list[int], int, bool]:
     """One restart's Metropolis sweeps over a coupler-free model, in numpy arrays.
 
-    Runs the sweeps ``batch`` at a time and returns ``(run_e, run_bits,
-    visits, done)``; unless ``sweep_bests`` is None, appends ``run_e`` after
-    each sweep that ran. ``excited`` (int8) marks the variables whose bit is
-    not ``ground``, the bit that takes the lower energy of their bias.
+    Runs the sweeps a block of ``draws`` (:func:`_sweep_draws`) at a time
+    and returns ``(run_e, run_bits, visits, done)``; unless ``sweep_bests``
+    is None, appends ``run_e`` after each sweep that ran. ``excited``
+    (int8) marks the variables whose bit is not ``ground``, the bit that
+    takes the lower energy of their bias.
 
-    Every array is made once per restart, sized to one batch, and a short
-    last batch uses its leading rows. Variable i costs ``costs[level_of[i]]``
-    (``|h_i| / den`` as a float); a batch prices each level in sweep m as
+    Every array is made once per restart, sized to one block, and a short
+    last block uses its leading rows. Variable i costs ``costs[level_of[i]]``
+    (``|h_i| / den`` as a float); a block prices each level in sweep m as
     ``exp(-c / t)`` with ``t = t_initial * decay**m``, the float expression
     of :meth:`AnnealSchedule.temperature`, so each price is the float the
     sequential loop computes. With one level, as in the Bernstein-Vazirani
     model, a sweep's one price is broadcast over its row.
 
-    The draws are the sequential loop's: each sweep shuffles a row reset to
-    ``arange(n)`` for its visit order, then fills a row with one uniform per
-    visit. All of a batch's sweeps are drawn up front; a run that stops
-    early leaves some unused, which is harmless because each restart's
-    generator is discarded when the restart ends.
+    The draws are the sequential loop's, one block of orders and uniforms
+    at a time. A run that stops early leaves the rest of its block unused,
+    which is harmless because each restart's generators are discarded when
+    the restart ends.
 
     A visit to an excited variable is always accepted (its flip lowers the
     energy) and leaves it relaxed; a visit to a relaxed one is accepted when
@@ -400,8 +456,8 @@ def _diagonal_sweeps(
     ~excited[m] & (u[m] < p[m])``: a variable is excited after sweep m
     exactly when an odd number of sweeps passed since its last rejection,
     found for every sweep at once with a running maximum, in int16 when the
-    batch allows. A variable with zero cost has p = 1 and accepts every
-    visit. The accepted costs, summed in visit order over the whole batch,
+    block allows. A variable with zero cost has p = 1 and accepts every
+    visit. The accepted costs, summed in visit order over the whole block,
     give the energy after every visit. The strict running minima below
     ``run_e`` are the loop's new best states; they are walked in order so
     that the exact target check stops at the same visit, and the best bits
@@ -409,46 +465,36 @@ def _diagonal_sweeps(
     order moved on one sweep.
     """
     n = len(excited)
-    shuffle, random, exp = rng.shuffle, rng.random, math.exp
+    exp = math.exp
+    block = _sweeps_per_block(n, schedule.sweeps)
     t0, decay = schedule.t_initial, schedule.decay
-    arange = np.arange(n)
-    orders = np.empty((batch, n), dtype=np.intp)
-    draws = np.empty((batch, n))
-    rows = list(zip(orders, draws))
     # Indices into the flattened arrays below, in visit order.
-    offsets = np.arange(0, batch * n, n)[:, None]
-    visit = np.empty((batch, n), dtype=np.intp)
-    u = np.empty((batch, n))  # the uniforms by variable
+    offsets = np.arange(0, block * n, n)[:, None]
+    visit = np.empty((block, n), dtype=np.intp)
+    u = np.empty((block, n))  # the uniforms by variable
     # last[m + 1] is 2 more than the last rejection up to sweep m, so it
-    # reaches batch + 1; only its parity against m is read. Row 0 makes a
+    # reaches block + 1; only its parity against m is read. Row 0 makes a
     # relaxed start a rejection at sweep -1 and an excited one at -2.
-    index = np.int16 if batch < 2**15 - 1 else np.int64
-    shifted = np.arange(2, batch + 2, dtype=index)[:, None]
-    last = np.empty((batch + 1, n), dtype=index)
-    states = np.empty((batch + 1, n), dtype=np.int8)  # excited at the start of each sweep
+    index = np.int16 if block < 2**15 - 1 else np.int64
+    shifted = np.arange(2, block + 2, dtype=index)[:, None]
+    last = np.empty((block + 1, n), dtype=index)
+    states = np.empty((block + 1, n), dtype=np.int8)  # excited at the start of each sweep
     states[0] = excited
-    steps = np.empty((batch, n), dtype=np.int64)
-    path = np.empty(batch * n, dtype=np.int64)
+    steps = np.empty((block, n), dtype=np.int64)
+    path = np.empty(block * n, dtype=np.int64)
     attempts, done = 0, False
-    for first in range(0, schedule.sweeps, batch):
-        if done:
-            break
-        k = min(batch, schedule.sweeps - first)
+    for first, order_k, draws_k in draws:
+        k = len(order_k)
         p = np.array([exp(-c / (t0 * decay**m)) for m in range(first, first + k) for c in costs])
         p = p[:, None] if len(costs) == 1 else p.reshape(k, -1).take(level_of, 1)
-        order_k, visit_k, u_k, last_k, states_k = (
-            orders[:k], visit[:k], u[:k], last[: k + 1], states[: k + 1])
-        order_k[:] = arange
-        for order, uniforms in rows[:k]:
-            shuffle(order)
-            random(out=uniforms)
+        visit_k, u_k, last_k, states_k = visit[:k], u[:k], last[: k + 1], states[: k + 1]
         np.add(order_k, offsets[:k], out=visit_k)
-        u_k.ravel()[visit_k] = draws[:k]
+        u_k.ravel()[visit_k] = draws_k
         np.subtract(1, states[0], out=last_k[0])
         np.multiply(u_k >= p, shifted[:k], out=last_k[1:])
         np.maximum.accumulate(last_k, axis=0, out=last_k)
         np.bitwise_and(last_k[1:] ^ shifted[:k], 1, out=states_k[1:])
-        # Energy after each visit, less the energy at the start of the batch.
+        # Energy after each visit, less the energy at the start of the block.
         np.multiply(states_k[1:] - states_k[:-1], h_abs, out=steps[:k])
         path_k = np.add.accumulate(steps[:k].ravel().take(visit_k.ravel()), out=path[: k * n])
         below = run_e - energy
@@ -458,7 +504,7 @@ def _diagonal_sweeps(
         else:  # the running minimum at the end of each sweep
             ends = np.minimum.accumulate(path_k.reshape(k, n).min(axis=1))
             lowest = ends[-1]
-        # Most batches find no new best; only those that do pay for the
+        # Most blocks find no new best; only those that do pay for the
         # running minimum of every visit.
         if lowest < below:
             running = np.minimum.accumulate(path_k)
@@ -473,7 +519,7 @@ def _diagonal_sweeps(
                     break
             m, v = divmod(best, n)
             bits = states[m].copy()
-            head = orders[m, : v + 1]
+            head = order_k[m, : v + 1]
             bits[head] = states[m + 1, head]
             run_bits = (bits ^ ground).tolist()
         if sweep_bests is not None:
@@ -482,6 +528,8 @@ def _diagonal_sweeps(
         states[0] = states[k]
         energy += int(path_k[visits - 1])
         attempts += visits
+        if done:
+            break
     return run_e, run_bits, attempts, done
 
 
@@ -501,10 +549,10 @@ def anneal_black_box(
     attempt costs one callback evaluation of the flipped state.
     ``energy_evaluations`` counts callback calls, ``restarts_used * (1 +
     flips attempted)`` for a run that does not stop early. Each sweep
-    shuffles a copy of the variables' bit masks ``1 << k`` into its visit
-    order and refills one buffer with a uniform per visit: the draws of
-    ``permutation(n_vars)`` then ``random(n_vars)``, so on the explicit
-    model's energy it runs the dynamics of :func:`anneal`. The callback
+    takes its visit order and uniforms from the two streams of
+    :func:`anneal` and flips the visited variable's bit mask ``1 << k``,
+    so on the explicit model's energy it runs the dynamics of
+    :func:`anneal`. The callback
     receives the state as a plain int ``v`` with ``0 <= v < 2**n_vars``,
     whose bit k is variable k; ``best_assignment`` is the
     :class:`BitVector` of the best such int.
@@ -520,32 +568,26 @@ def anneal_black_box(
     (:func:`anneal` makes none). ``trajectory`` records the best energy
     after each sweep as a float.
     """
-    if n_vars < 1:
+    if _as_count("n_vars", n_vars) < 1:
         raise ValueError(f"need at least one variable, got n_vars={n_vars}")
-    exp = math.exp
+    exp, temperature = math.exp, schedule.temperature
+    masks = [1 << k for k in range(n_vars)]
 
-    def restart(rng, start, reaches_target, sweep_bests):
+    def restart(draws, start, reaches_target, sweep_bests):
         value = sum(b << k for k, b in enumerate(start.tolist()))
         e_cur = energy(value)
         evaluations = 1
         run_e, run_value = e_cur, value
         met = reaches_target(run_e)
         done = False
-        shuffle, random, temperature = rng.shuffle, rng.random, schedule.temperature
-        masks, uniforms = [1 << i for i in range(n_vars)], np.empty(n_vars)
-        for sweep in range(schedule.sweeps):
-            if done:
-                break
+        for sweep, order, uniforms in _each_sweep(draws):
             t = temperature(sweep)
-            order = masks.copy()
-            shuffle(order)
-            random(out=uniforms)
             if met:  # the start state is at the target: one attempt, then stop
                 del order[1:]
                 done = True
             evaluations += len(order)
-            for bit, u in zip(order, uniforms.tolist()):
-                flipped = value ^ bit
+            for i, u in zip(order, uniforms):
+                flipped = value ^ masks[i]
                 e_new = energy(flipped)
                 de = e_new - e_cur
                 # Negated tests, so that a NaN cost (inf - inf) is rejected.
@@ -555,10 +597,12 @@ def anneal_black_box(
                 if e_new < run_e:
                     run_e, run_value = e_new, value
                     if reaches_target(run_e):
-                        evaluations -= len(order) - 1 - order.index(bit)  # the visits not made
+                        evaluations -= len(order) - 1 - order.index(i)  # the visits not made
                         done = True
                         break
             sweep_bests.append(run_e)
+            if done:
+                break
         return run_e, run_value, evaluations, done
 
     return _restart_loop(restart, n_vars, schedule, seed, target_energy, record_trajectory)

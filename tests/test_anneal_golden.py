@@ -1,21 +1,18 @@
-"""Explicit-model annealer against reports recorded from the float annealer.
+"""Explicit-model annealer against results recorded from the reference loop.
 
-``tests/data/anneal_golden.json`` holds ``anneal`` results recorded when the
-annealer priced flips with float coefficients. On integer models floats are
-exact, so every field must still match, trajectory included. On tenths-valued
-models the float energies drifted, so those results were recorded with the
-target raised by 1e-9; run with the exact target, every field but the
-trajectory must match, and the trajectory must agree to within that drift.
+``tests/data/anneal_golden.json`` (Bernstein-Vazirani, Simon literal, random
+integer and tenths models) and ``tests/data/diagonal_golden.json``
+(coupler-free models: mixed integer biases, zero biases, all-zero biases,
+decimal biases with mixed denominators) hold the results of
+``reference_metropolis`` in ``test_annealer.py``, the plain Metropolis loop
+that prices every flip exactly in Fractions with the annealer's two draw
+streams. ``anneal`` must reproduce every field, trajectory included.
 
-``tests/data/diagonal_golden.json`` holds coupler-free cases (mixed integer
-biases, zero biases, all-zero biases, decimal biases with mixed
-denominators), recorded when every sweep took one Python step per visit.
-Such models now sweep as numpy array operations; every field must match,
-trajectory included.
+``PYTHONPATH=src python tests/test_anneal_golden.py`` rewrites the recorded
+results of both files from the reference loop; it takes a few minutes.
 """
 
 import json
-import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,18 +21,15 @@ import pytest
 
 from hiddenstring.annealer import AnnealSchedule, anneal, default_schedule
 from hiddenstring.builders import build_bv_qubo_from_bits, build_simon_literal_qubo
-from hiddenstring.model import QuboModel, VarLabel, exhaustive_solve
+from hiddenstring.model import BitVector, QuboModel, VarLabel, exhaustive_solve
 from hiddenstring.oracles import random_hidden_string
 
+from test_annealer import reference_metropolis
 from test_model import random_integer_model, random_tenths_model
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = json.loads((DATA / "anneal_golden.json").read_text())
-# Coupler-free cases, recorded from the sequential loop before anneal swept
-# such models with numpy arrays.
 DIAGONAL = json.loads((DATA / "diagonal_golden.json").read_text())["cases"]
-# How far the float annealer's target was raised on tenths models.
-FLOAT_SLACK = 1e-9
 
 
 def diagonal_model(n, biases):
@@ -107,21 +101,30 @@ def build_schedule(case, model):
     return sched
 
 
-def run_case(case):
-    """Anneal one golden case; returns its schedule and result as plain data."""
+def run_case(case, reference=False):
+    """Anneal one golden case, with ``anneal`` or else the reference loop;
+    returns its schedule and result as plain data."""
     model = build_model(case)
     sched = build_schedule(case, model)
     target = float(ground_energy(model)) if case["target"] else None
-    result = anneal(model, sched, seed=case["seed"], target_energy=target,
-                    record_trajectory=True)
+    if reference:
+        bits, energy, restarts, evaluations, trajectory = reference_metropolis(
+            model, sched, case["seed"], target, 0)
+        best, seed = BitVector(bits), case["seed"]
+    else:
+        result = anneal(model, sched, seed=case["seed"], target_energy=target,
+                        record_trajectory=True)
+        best, energy, restarts, evaluations, seed, trajectory = (
+            result.best_assignment, result.best_energy, result.restarts_used,
+            result.energy_evaluations, result.seed, result.trajectory)
     return {
         "schedule": [sched.sweeps, sched.t_initial, sched.t_final, sched.restarts],
-        "best_assignment": result.best_assignment.to_integer(),
-        "best_energy": str(result.best_energy),
-        "restarts_used": result.restarts_used,
-        "energy_evaluations": result.energy_evaluations,
-        "seed": result.seed,
-        "trajectory": run_length(result.trajectory),
+        "best_assignment": best.to_integer(),
+        "best_energy": str(energy),
+        "restarts_used": restarts,
+        "energy_evaluations": evaluations,
+        "seed": seed,
+        "trajectory": run_length(trajectory),
     }
 
 
@@ -134,10 +137,6 @@ def run_length(values):
         else:
             runs.append([v, 1])
     return runs
-
-
-def expand(runs):
-    return [v for v, count in runs for _ in range(count)]
 
 
 def _case_id(entry):
@@ -182,11 +181,14 @@ def test_coupler_free_models_reproduce_every_field(entry):
 
 
 @pytest.mark.parametrize("entry", TENTHS, ids=_case_id)
-def test_tenths_models_reproduce_every_field_but_the_trajectory(entry):
-    got = run_case(entry["case"])
-    want = entry["result"]
-    got_traj, want_traj = expand(got.pop("trajectory")), expand(want["trajectory"])
-    assert got == {k: v for k, v in want.items() if k != "trajectory"}
-    assert len(got_traj) == len(want_traj)
-    assert all(math.isclose(g, w, rel_tol=0, abs_tol=FLOAT_SLACK)
-               for g, w in zip(got_traj, want_traj))
+def test_tenths_models_reproduce_every_field(entry):
+    assert run_case(entry["case"]) == entry["result"]
+
+
+if __name__ == "__main__":
+    for path in (DATA / "anneal_golden.json", DATA / "diagonal_golden.json"):
+        golden = json.loads(path.read_text())
+        for entry in golden["cases"]:
+            entry["result"] = run_case(entry["case"], reference=True)
+            print(_case_id(entry), flush=True)
+        path.write_text(json.dumps(golden, indent=1))

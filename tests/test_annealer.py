@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -57,6 +58,13 @@ class TestAnnealSchedule:
             AnnealSchedule(sweeps=5, t_initial=1.0, t_final=0.0)
         with pytest.raises(ValueError):
             AnnealSchedule(sweeps=5, t_initial=0.5, t_final=1.0)
+        # A size that is not an integer used to construct, then fail in anneal
+        # with a bare TypeError.
+        for field, value in [("sweeps", 2.5), ("restarts", 1.5), ("sweeps", "5"), ("restarts", None)]:
+            with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+                AnnealSchedule(**{"sweeps": 5, "t_initial": 1.0, "t_final": 0.1, field: value})
+        sched = AnnealSchedule(sweeps=np.int64(5), t_initial=1.0, t_final=0.1, restarts=np.int32(2))
+        assert anneal(build_bv_qubo_from_bits([1, 0, 1]), sched).restarts_used == 2
 
     @pytest.mark.parametrize("t_initial, t_final", [
         (math.inf, 0.01), (math.nan, 0.01), (1.0, math.nan), (math.inf, math.inf),
@@ -207,6 +215,18 @@ class TestAnneal:
         assert runs[0].restarts_used == 1
 
 
+def run_kernel(kernel, model, schedule, seed, target=None):
+    """Anneal ``model`` with one of the three kernels, recording the trajectory."""
+    n = model.n_vars
+    if kernel == "black box":
+        return anneal_black_box(lambda v: qubo_energy(model, BitVector.from_integer(v, n)), n,
+                                schedule, seed=seed, target_energy=target, record_trajectory=True)
+    assert kernel == "sequential" or not model.quadratic
+    sequential = mock.patch.object(annealer, "_fits_int64", return_value=False)
+    with sequential if kernel == "sequential" else contextlib.nullcontext():
+        return anneal(model, schedule, seed=seed, target_energy=target, record_trajectory=True)
+
+
 @pytest.mark.parametrize("kernel", ["diagonal", "sequential", "black box"])
 def test_exact_target_stops_only_at_the_ground(kernel):
     """The ground -1 - 2**-60 and the level -1 round to the same float.
@@ -219,99 +239,123 @@ def test_exact_target_stops_only_at_the_ground(kernel):
     ground = exhaustive_solve(model).ground_energy
     assert float(ground) == -1.0
     sched = AnnealSchedule(20, 1.0, 0.01, restarts=4)
-
-    def run(seed, target):
-        if kernel == "black box":
-            return anneal_black_box(lambda v: qubo_energy(model, BitVector.from_integer(v, 2)),
-                                    2, sched, seed=seed, target_energy=target)
-        sequential = mock.patch.object(annealer, "_fits_int64", return_value=False)
-        with sequential if kernel == "sequential" else contextlib.nullcontext():
-            return anneal(model, sched, seed=seed, target_energy=target)
-
-    exact = [run(seed, ground) for seed in range(50)]
+    exact = [run_kernel(kernel, model, sched, seed, ground) for seed in range(50)]
     assert all(r.best_energy == ground and r.restarts_used == 1 for r in exact)
-    above = sum(run(seed, float(ground)).best_energy != ground for seed in range(50))
+    above = sum(run_kernel(kernel, model, sched, seed, float(ground)).best_energy != ground
+                for seed in range(50))
     assert above == {"diagonal": 21, "sequential": 21, "black box": 13}[kernel]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 14, 16, 33, 128, 256])
-def test_sweep_draws_are_permutation_then_random(n):
-    """The visit loops' draws are numpy's ``permutation(n)`` then ``random(n)``.
+def test_sweep_draws_are_permutations_and_uniforms_of_two_streams(n):
+    """Restart r's order stream ``(seed, r)`` draws its start state, then
+    sweep m's visit order as its m-th ``permutation(n)``; its uniform
+    stream ``(seed, r, 1)`` draws sweep m's uniforms as its m-th
+    ``random(n)``.
 
-    The sequential and black-box loops shuffle a copy of a list (indices or
-    bit masks) and refill one float buffer each sweep; the diagonal kernel
-    shuffles a row of ``arange(n)`` and fills a row of uniforms in place.
-    Every golden rests on these drawing one stream.
+    A block of sweeps is one ``permuted`` and one ``random`` call; blocks
+    of 7 sweeps here, so that 50 sweeps cross several and end on a short
+    one. A flat objective accepts every flip, so the black box's callback
+    sees the start and then every visit. Every golden rests on these
+    draws, so a numpy whose streams differ is named on failure.
     """
-    sweeps = 50
+    sweeps, numpy = 50, f"numpy {np.__version__} draws other streams"
     for seed in range(20):
-        plain, indexed, masked, rows = (annealer._seeded_rng(seed, 0) for _ in range(4))
-        for rng in (plain, indexed, masked, rows):
-            rng.integers(0, 2, size=n)  # the restart's start state
-        indices, masks, uniforms = list(range(n)), [1 << i for i in range(n)], np.empty(n)
-        orders, draws = np.tile(np.arange(n), (sweeps, 1)), np.empty((sweeps, n))
-        expected = []
-        for m in range(sweeps):
-            expected.append((plain.permutation(n).tolist(), plain.random(n).tolist()))
-            order = indices.copy()
-            indexed.shuffle(order)
-            indexed.random(out=uniforms)
-            assert (order, uniforms.tolist()) == expected[-1], (seed, m)
-            order = masks.copy()
-            masked.shuffle(order)
-            masked.random(out=uniforms)
-            assert ([b.bit_length() - 1 for b in order], uniforms.tolist()) == expected[-1]
-            rows.shuffle(orders[m])
-            rows.random(out=draws[m])
-        assert list(zip(orders.tolist(), draws.tolist())) == expected, seed
+        orders, uniforms = annealer._seeded_rng(seed, 0), annealer._seeded_rng(seed, 0, 1)
+        start = orders.integers(0, 2, size=n).tolist()
+        expected = [(orders.permutation(n).tolist(), uniforms.random(n).tolist())
+                    for _ in range(sweeps)]
+        rng = annealer._seeded_rng(seed, 0)
+        assert rng.integers(0, 2, size=n).tolist() == start
+        with mock.patch.object(annealer, "_BATCH_VISITS", 7 * n):
+            blocks = annealer._sweep_draws(rng, (seed, 0, 1), n, sweeps)
+            drawn = [(order, u) for _, order, u in annealer._each_sweep(blocks)]
+        assert drawn == expected, (numpy, seed)
+        seen = []
+        anneal_black_box(lambda v: seen.append(v) or 0, n, AnnealSchedule(sweeps, 1.0, 1.0),
+                         seed=seed)
+        assert seen[0] == sum(b << k for k, b in enumerate(start)), (numpy, seed)
+        visits = [(v ^ w).bit_length() - 1 for v, w in zip(seen, seen[1:])]
+        assert visits == [i for order, _ in expected for i in order], (numpy, seed)
 
 
 def reference_metropolis(model, schedule, seed, target, start_evaluations):
-    """Plain Metropolis loop with the annealers' draws, priced by qubo_energy.
+    """Plain Metropolis loop with the annealers' draws, priced exactly.
 
-    Counts one evaluation per flip attempt, plus ``start_evaluations`` per
-    restart; stops after the visit whose new best energy is at most
-    ``target``. A start state already at the target stops the run before
-    any visit, or after one flip attempt when ``start_evaluations`` is set
-    (the black box). Returns ``(best bits, best energy, restarts used,
-    evaluations)``.
+    Restart r draws its start and then each sweep's ``permutation(n)``
+    from ``SeedSequence((seed, r))``, and each sweep's ``random(n)`` from
+    ``SeedSequence((seed, r, 1))``. A flip of variable i costs ``(1 - 2
+    s_i) (h_i + sum_j J_ij s_j)`` in Fractions, read from the model's own
+    coefficients, and counts one evaluation; each restart also counts
+    ``start_evaluations``. The run stops after the visit whose new best
+    energy e reaches ``target``: ``e <= target`` for a rational target,
+    ``float(e) <= target`` for a float one, never for None. A start state
+    already at the target stops the run before any visit, or after one
+    flip attempt when ``start_evaluations`` is set (the black box).
+    Returns ``(best bits, best energy, restarts used, evaluations,
+    trajectory)``, the trajectory being the best energy after each sweep
+    as a float.
     """
     n = model.n_vars
+    pos = {lab: k for k, lab in enumerate(model.labels)}
+    h = [Fraction(0)] * n
+    neighbors = [[] for _ in range(n)]
+    for lab, c in model.linear.items():
+        h[pos[lab]] += c
+    for (a, b), c in model.quadratic.items():
+        neighbors[pos[a]].append((pos[b], c))
+        neighbors[pos[b]].append((pos[a], c))
+
+    def reaches(e):
+        if target is None:
+            return False
+        return float(e) <= target if isinstance(target, float) else e <= target
+
     best_e = best_bits = None
     evaluations = 0
+    trajectory = []
     for r in range(schedule.restarts):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, r)))
-        s = rng.integers(0, 2, size=n).tolist()
+        orders = np.random.default_rng(np.random.SeedSequence((seed, r)))
+        uniforms = np.random.default_rng(np.random.SeedSequence((seed, r, 1)))
+        s = orders.integers(0, 2, size=n).tolist()
         e = qubo_energy(model, s)
         evaluations += start_evaluations
         run_e, run_bits = e, list(s)
-        met = e <= target
+        met = reaches(e)
         done = met and not start_evaluations
         for sweep in range(schedule.sweeps):
             if done:
                 break
             t = schedule.temperature(sweep)
-            order, uniforms = rng.permutation(n).tolist(), rng.random(n).tolist()
+            order, us = orders.permutation(n).tolist(), uniforms.random(n).tolist()
             if met:
                 order, done = order[:1], True
-            for i, u in zip(order, uniforms):
-                s[i] ^= 1
-                de = qubo_energy(model, s) - e
+            for i, u in zip(order, us):
+                de = h[i] + sum(c for j, c in neighbors[i] if s[j])
+                de = -de if s[i] else de
                 evaluations += 1
                 if de > 0 and not u < math.exp(-float(de) / t):
-                    s[i] ^= 1
                     continue
+                s[i] ^= 1
                 e += de
                 if e < run_e:
                     run_e, run_bits = e, list(s)
-                    if run_e <= target:
+                    if reaches(run_e):
                         done = True
                         break
+            trajectory.append(float(run_e if best_e is None else min(best_e, run_e)))
+        assert e == qubo_energy(model, s)
         if best_e is None or run_e < best_e or (run_e == best_e and run_bits < best_bits):
             best_e, best_bits = run_e, run_bits
         if done:
             break
-    return best_bits, best_e, r + 1, evaluations
+    return best_bits, best_e, r + 1, evaluations, tuple(trajectory)
+
+
+def outcome(result):
+    """An :class:`AnnealResult` in the shape :func:`reference_metropolis` returns."""
+    return (list(result.best_assignment.bits), result.best_energy, result.restarts_used,
+            result.energy_evaluations, result.trajectory)
 
 
 @pytest.mark.parametrize("kernel", ["sequential", "black box"])
@@ -322,19 +366,15 @@ def test_target_fired_mid_sweep_counts_only_the_visits_made(kernel):
     ground = exhaustive_solve(model).ground_energy
     sched = AnnealSchedule(sweeps=3, t_initial=0.5, t_final=0.1, restarts=8)
     start_evaluations = int(kernel == "black box")
-    mid_sweep_in_a_later_restart = False
+    mid_sweep_in_a_later_restart, reached = False, []
     for seed in range(4):
-        if kernel == "black box":
-            result = anneal_black_box(lambda v: qubo_energy(model, BitVector.from_integer(v, 10)),
-                                      10, sched, seed=seed, target_energy=ground)
-        else:
-            result = anneal(model, sched, seed=seed, target_energy=ground)
-        ref = reference_metropolis(model, sched, seed, ground, start_evaluations)
-        assert (list(result.best_assignment.bits), result.best_energy, result.restarts_used,
-                result.energy_evaluations) == ref
-        assert result.best_energy == ground
+        result = run_kernel(kernel, model, sched, seed, ground)
+        assert outcome(result) == reference_metropolis(model, sched, seed, ground,
+                                                       start_evaluations)
+        reached.append(result.best_energy == ground)
         attempts = result.energy_evaluations - start_evaluations * result.restarts_used
         mid_sweep_in_a_later_restart |= result.restarts_used > 1 and attempts % 10 != 0
+    assert reached == [True, True, False, True]  # seed 2 stays above the ground
     assert mid_sweep_in_a_later_restart
 
 
@@ -352,26 +392,58 @@ def block_model(rng, n, block=8):
     return QuboModel(tuple(labels), linear, quadratic), ground
 
 
+def coupler_free_model(rng, levels, n):
+    """A model without couplers and its ground energy: with ``levels`` "one",
+    the Bernstein-Vazirani model (every bias of magnitude 1); "mixed",
+    integer biases of magnitude 1..9; "zero", about half the biases zero."""
+    if levels == "one":
+        model = build_bv_qubo_from_bits(random_hidden_string(n, rng))
+    else:
+        if levels == "mixed":
+            biases = rng.choice([-1, 1], size=n) * rng.integers(1, 10, size=n)
+        else:
+            biases = rng.integers(-6, 7, size=n) * (rng.random(n) < 0.5)
+        labels = tuple(VarLabel.plain(i) for i in range(n))
+        model = QuboModel(labels, {lab: int(c) for lab, c in zip(labels, biases)})
+    return model, sum(c for c in model.linear.values() if c < 0)
+
+
 @pytest.mark.parametrize("target", ["none", "ground"])
-@pytest.mark.parametrize("n", [1, 2, 16, 24])
-@pytest.mark.parametrize("kernel", ["sequential", "black box"])
+@pytest.mark.parametrize("kernel, n", [
+    *((kernel, n) for kernel in ("sequential", "black box") for n in (1, 2, 16, 24)),
+    ("diagonal", "one-128"), ("diagonal", "mixed-24"), ("diagonal", "zero-24"),
+], ids=lambda p: str(p))
 def test_kernels_match_the_reference_loop(kernel, n, target):
-    model, ground = block_model(np.random.default_rng(40 + n), n)
+    if kernel == "diagonal":
+        levels, size = n.split("-")
+        model, ground = coupler_free_model(np.random.default_rng(40), levels, int(size))
+    else:
+        model, ground = block_model(np.random.default_rng(40 + n), n)
     target_energy = ground if target == "ground" else None
     sched = AnnealSchedule(sweeps=6, t_initial=1.0, t_final=0.1, restarts=3)
     start_evaluations = int(kernel == "black box")
     for seed in range(3):
-        if kernel == "black box":
-            result = anneal_black_box(lambda v: qubo_energy(model, BitVector.from_integer(v, n)),
-                                      n, sched, seed=seed, target_energy=target_energy)
-        else:
-            with mock.patch.object(annealer, "_fits_int64", return_value=False):
-                result = anneal(model, sched, seed=seed, target_energy=target_energy)
-        ref = reference_metropolis(model, sched, seed,
-                                   -math.inf if target_energy is None else target_energy,
-                                   start_evaluations)
-        assert (list(result.best_assignment.bits), result.best_energy, result.restarts_used,
-                result.energy_evaluations) == ref, seed
+        result = run_kernel(kernel, model, sched, seed, target_energy)
+        assert outcome(result) == reference_metropolis(model, sched, seed, target_energy,
+                                                       start_evaluations), seed
+
+
+@pytest.mark.parametrize("kernel", ["diagonal", "sequential", "black box"])
+def test_block_size_changes_no_value(kernel):
+    # One sweep per block, blocks of 7 sweeps, and the default: with and
+    # without a target, so that some runs stop part way through a block.
+    if kernel == "diagonal":
+        model, ground = coupler_free_model(np.random.default_rng(41), "mixed", 24)
+    else:
+        model, ground = block_model(np.random.default_rng(41), 12)
+    n = model.n_vars
+    sched = AnnealSchedule(sweeps=40, t_initial=4.0, t_final=0.05, restarts=3)
+    for seed, target in [(0, None), (1, None), (2, ground), (3, ground)]:
+        results = []
+        for visits in (1, 7 * n, annealer._BATCH_VISITS):
+            with mock.patch.object(annealer, "_BATCH_VISITS", visits):
+                results.append(run_kernel(kernel, model, sched, seed, target))
+        assert results[0] == results[1] == results[2], (seed, visits)
 
 
 class TestAnnealBlackBox:
@@ -427,16 +499,17 @@ class TestAnnealBlackBox:
         assert result.best_assignment.to_integer() == 63
 
     def test_popcount_trajectory(self):
-        # Recorded with the earlier bit-list implementation of the loop.
+        # Expected values from reference_metropolis on the model with every
+        # bias -1, whose energy is -popcount.
         def energy(v):
             assert type(v) is int and 0 <= v < 2**16
             return -v.bit_count()
 
         sched = AnnealSchedule(sweeps=5, t_initial=10.0, t_final=1.0, restarts=2)
         result = anneal_black_box(energy, 16, sched, seed=3, record_trajectory=True)
-        assert result.trajectory == (-11.0, -11.0, -12.0, -12.0, -13.0, -13.0, -13.0, -13.0, -14.0, -14.0)
-        assert result.best_assignment.to_integer() == 61311
-        assert result.best_energy == -14
+        assert result.trajectory == (-11.0, -12.0, -12.0, -12.0, -13.0, -13.0, -13.0, -13.0, -13.0, -15.0)
+        assert result.best_assignment.to_integer() == 65471
+        assert result.best_energy == -15
         assert (result.restarts_used, result.energy_evaluations) == (2, 162)
 
     def test_infinite_energies(self):
@@ -509,3 +582,10 @@ class TestAnnealBlackBox:
     def test_rejects_empty_search_space(self):
         with pytest.raises(ValueError, match="need at least one variable, got n_vars=0"):
             anneal_black_box(lambda s: 0, 0, AnnealSchedule(1, 1.0, 1.0))
+
+    def test_rejects_a_size_that_is_not_an_integer(self):
+        for n_vars in (2.5, "4", None):
+            with pytest.raises(ValueError, match=re.escape(f"n_vars must be an integer, got {n_vars!r}")):
+                anneal_black_box(lambda s: 0, n_vars, AnnealSchedule(1, 1.0, 1.0))
+        result = anneal_black_box(lambda s: 0, np.int64(3), AnnealSchedule(2, 1.0, 1.0))
+        assert len(result.best_assignment) == 3
