@@ -218,7 +218,9 @@ def _sweep_draws(
         yield first, orders, uniforms
 
 
-def _each_sweep(draws) -> Iterator[tuple[int, list[int], list[float]]]:
+def _each_sweep(
+    draws: Iterator[tuple[int, np.ndarray, np.ndarray]],
+) -> Iterator[tuple[int, list[int], list[float]]]:
     """The sweeps of :func:`_sweep_draws` one at a time, as ``(sweep, order,
     uniforms)`` with the order and uniforms as lists."""
     for first, orders, uniforms in draws:
@@ -416,7 +418,7 @@ def anneal(
 
 
 def _diagonal_sweeps(
-    draws,
+    draws: Iterator[tuple[int, np.ndarray, np.ndarray]],
     excited: np.ndarray,
     ground: np.ndarray,
     h_abs: np.ndarray,
