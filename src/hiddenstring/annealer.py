@@ -14,40 +14,46 @@ m-th ``permutation(n)`` of the first stream and accepts with the m-th
 from versions that drew orders and uniforms alternately from one stream;
 their distribution does not.
 
-One draw path, one restart loop, two kernels. :func:`_sweep_draws` draws
-the sweeps of a restart a block at a time, about 4 096 visits per block,
-with one ``permuted`` and one ``random`` call per block; the block size
-changes no value. :func:`_restart_loop` seeds each restart, draws its
-start, tests the early stop, records the trajectory, merges the restarts'
-best states and builds the result; once per restart it calls a kernel
-that runs the sweeps with its visit loop inline. The explicit kernel
-(:func:`anneal`) works on the model compiled to exact ints over a common
-denominator; on a model without couplers whose costs fit in int64 (the
+One draw path, one restart loop, four visit loops. :func:`_sweep_draws`
+draws the sweeps of a restart a block at a time, about 4 096 visits per
+block once its first blocks have grown to that size, with one ``permuted``
+and one ``random`` call per block; the block sizes change no value.
+:func:`_restart_loop` seeds each restart, draws its start, tests the early
+stop, records the trajectory, merges the restarts' best states and builds
+the result; once per restart it calls a kernel that runs the sweeps with
+its visit loop inline. The explicit kernel (:func:`anneal`) works on the
+model compiled to exact ints over a common denominator, in one of three
+visit loops chosen from the model and the schedule, all with identical
+results. On a model without couplers whose costs fit in int64 (the
 Bernstein-Vazirani model among them), each block of sweeps is a few numpy
-array operations, with identical results. Its arrays are made once per
-restart, and each block prices its sweeps with the float expression of
+array operations. Its arrays are made once per restart, and each block
+prices its sweeps with the float expression of
 :meth:`AnnealSchedule.temperature`, one price per sweep and cost level,
-broadcast over the row when there is one level. The black-box kernel
-(:func:`anneal_black_box`) prices every flip with one evaluation of an
-opaque energy callback (the oracle-coupled search, whose objective exists
-only behind oracle queries); its state is one integer, flipped with an
-xor and handed to the callback as that bare int. Energies are compared
+broadcast over the row when there is one level. A coupled model whose
+2**n energy table, in int64, is no larger than one restart's visits
+(``2**n <= sweeps * n``, and n at most 20) is annealed over that table:
+the state is one int and a flip costs two lookups. Every other model takes
+the field loop, which keeps each variable's local field. The black-box
+kernel (:func:`anneal_black_box`) prices every flip with one evaluation of
+an opaque energy callback (the oracle-coupled search, whose objective
+exists only behind oracle queries); its state is one integer, flipped with
+an xor and handed to the callback as that bare int. Energies are compared
 exactly, as ints or the callback's own values, and so is an int or
 Fraction early-stop target; only a float target and the trajectory round
 energies to floats.
 
-Both visit loops keep per-visit interpreter work to what the dynamics
-need. A restart binds the schedule's ``temperature`` once and takes each
-sweep's order and uniforms as two lists. The sweep walks ``zip(order,
-uniforms)``, counts its n attempts up front, and on an early stop takes
-back the visits after the stopping one, found by its position in the
-order. The explicit loop updates the neighbours' fields on an accepted
-flip by branching on the bit instead of multiplying by a sign; the
-black-box loop xors the visited bit's mask into a local and keeps it only
-on accept, so a rejected flip costs no second xor. Each uphill flip is
-priced where it is visited, as ``exp(-(dE/den)/T)`` (or ``exp(-dE/T)``),
-so every draw, result and trajectory matches a plain loop that prices and
-counts visit by visit.
+The sequential visit loops keep per-visit interpreter work to what the
+dynamics need. A restart binds the schedule's ``temperature`` once and
+takes each sweep's order and uniforms as two lists. The sweep walks
+``zip(order, uniforms)``, counts its n attempts up front, and on an early
+stop takes back the visits after the stopping one, found by its position
+in the order. The field loop updates the neighbours' fields on an accepted
+flip by branching on the bit instead of multiplying by a sign; the table
+and black-box loops xor the visited bit's mask into a local and keep it
+only on accept, so a rejected flip costs no second xor. Each uphill flip
+is priced where it is visited, as ``exp(-(dE/den)/T)`` (or
+``exp(-dE/T)``), so every draw, result and trajectory matches a plain loop
+that prices and counts visit by visit.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ import itertools
 import math
 import numbers
 import operator
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
@@ -64,7 +71,14 @@ from typing import Callable, Iterator
 import numpy as np
 
 # qubo_energy is unused here; benchmarks/tracer.py wraps annealer.qubo_energy.
-from .model import BitVector, QuboModel, _compile, _fits_int64, qubo_energy  # noqa: F401
+from .model import (  # noqa: F401
+    BitVector,
+    QuboModel,
+    _compile,
+    _fits_int64,
+    _scaled_energy_table,
+    qubo_energy,
+)
 
 __all__ = [
     "AnnealSchedule",
@@ -77,6 +91,10 @@ __all__ = [
 # Visits per block of drawn sweeps: enough to amortise numpy's per-call
 # overhead, while each block array stays near 32 KB. Changes no value.
 _BATCH_VISITS = 4096
+
+# The largest coupled model annealed over its energy table, in variables:
+# 2**20 int64 entries are 8 MB.
+_TABLE_VARS = 20
 
 
 def _as_count(name: str, value) -> int:
@@ -202,20 +220,25 @@ def _sweep_draws(
     takes one ``permuted`` call over rows reset to ``arange(n)`` and one
     ``random`` call, which draw exactly what those per-sweep calls draw,
     so the block size changes no value. The rows are views of buffers
-    that the next block overwrites, and the last block may be short. The
-    uniform stream is seeded when the first block is drawn.
+    that the next block overwrites. The first block is about an eighth of
+    :func:`_sweeps_per_block` and each next one twice the last, up to that
+    size, so a restart that stops in its first sweeps draws few it never
+    reads; the last block may be short. The uniform stream is seeded when
+    the first block is drawn.
     """
     block = _sweeps_per_block(n, sweeps)
     uniform_rng = _seeded_rng(*uniform_path)
     order_buffer, uniform_buffer = np.empty((block, n), dtype=np.intp), np.empty((block, n))
     arange = np.arange(n)
-    for first in range(0, sweeps, block):
-        k = min(block, sweeps - first)
+    first, size = 0, max(1, block // 8)
+    while first < sweeps:
+        k = min(size, sweeps - first)
         orders, uniforms = order_buffer[:k], uniform_buffer[:k]
         orders[:] = arange
         order_rng.permuted(orders, axis=1, out=orders)
         uniform_rng.random(out=uniforms)
         yield first, orders, uniforms
+        first, size = first + k, min(2 * size, block)
 
 
 def _each_sweep(
@@ -321,22 +344,30 @@ def anneal(
     ``SeedSequence((seed, r))``, and each sweep's uniforms (a
     ``random(n)``) from ``SeedSequence((seed, r, 1))``, so a given seed
     gives other results than versions that drew both from one stream. The
-    model is
-    compiled to integers over one common denominator ``den``, so local
-    fields, flip costs and running energies are exact ints, kept
-    incrementally at O(degree) per accepted flip. Each sweep prices a cost
+    model is compiled to integers over one common denominator ``den``, so
+    flip costs and running energies are exact ints; the field loop keeps
+    each variable's local field, updated at O(degree) per accepted flip,
+    and reads a flip's cost from it. Each sweep prices a cost
     dE > 0 as ``exp(-(dE/den)/T)``. The best assignment ever visited is kept
     across restarts, merging energy ties toward the lexicographically least
     bit sequence; its energy is reported exactly, as ``Fraction(e, den)``.
 
-    A model without couplers, whose summed cost magnitudes stay below 2**63,
-    takes a block of sweeps at a time (``_BATCH_VISITS // n``, at least
-    one, at most the schedule's) as a few whole-array numpy operations
-    (:func:`_diagonal_sweeps`): no visit changes another variable's cost, so
-    each variable's acceptances follow from its own uniforms and the sweep
-    temperatures alone. It draws the same numbers and returns the same
-    result, trajectory included, as the sequential Python-int loop that
-    every other model takes.
+    Three visit loops share these dynamics and return the same result,
+    trajectory included. A model without couplers, whose summed cost
+    magnitudes stay below 2**63, takes a block of sweeps at a time
+    (``_BATCH_VISITS // n``, at least one, at most the schedule's) as a few
+    whole-array numpy operations (:func:`_diagonal_sweeps`): no visit
+    changes another variable's cost, so each variable's acceptances follow
+    from its own uniforms and the sweep temperatures alone. A model with
+    couplers under the same bound whose energy table is no larger than one
+    restart's visits, ``2**n <= sweeps * n`` with ``n <= 20``, is annealed
+    over that table (:func:`_table_sweeps`), built once per call by
+    :func:`~hiddenstring.model._scaled_energy_table` over the same ``den``:
+    a flip of variable i from state v costs ``table[v ^ 1 << i] -
+    table[v]``, the very int the field loop keeps, so every comparison and
+    price is the same. Past that bound the table would cost more to build
+    than the anneal it serves, and every other model takes the sequential
+    field loop above.
 
     ``target_energy`` stops the run early once a new best energy is at most
     the target (used when a lower bound for the objective is known). An int
@@ -353,6 +384,13 @@ def anneal(
     if n == 0:
         raise ValueError("cannot anneal an empty model")
     den, h, couplers = _compile(model)
+    exp, temperature = math.exp, schedule.temperature
+    if (couplers and n <= _TABLE_VARS and 2**n <= schedule.sweeps * n
+            and _fits_int64(h, couplers)):
+        energies = _scaled_energy_table(model)[0]  # over the den of _compile
+        kernel = functools.partial(_table_sweeps, table=array("q", energies.tobytes()),
+                                   den=den, temperature=temperature)
+        return _restart_loop(kernel, n, schedule, seed, target_energy, record_trajectory, den)
     neighbors: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i, j, w in couplers:
         neighbors[i].append((j, w))
@@ -364,7 +402,6 @@ def anneal(
         ground = (h_arr < 0).astype(np.int8)
         levels, level_of = np.unique(h_abs, return_inverse=True)
         costs = [c / den for c in levels.tolist()]  # priced as the sequential loop does
-    exp, temperature = math.exp, schedule.temperature
 
     def restart(draws, start, reaches_target, sweep_bests):
         s = start.tolist()
@@ -415,6 +452,54 @@ def anneal(
         return run_e, sum(b << k for k, b in enumerate(run_bits)), attempts, done
 
     return _restart_loop(restart, n, schedule, seed, target_energy, record_trajectory, den)
+
+
+def _table_sweeps(
+    draws: Iterator[tuple[int, np.ndarray, np.ndarray]],
+    start: np.ndarray,
+    reaches_target: Callable[[int], bool],
+    sweep_bests: list[int],
+    *,
+    table: array,
+    den: int,
+    temperature: Callable[[int], float],
+) -> tuple[int, int, int, bool]:
+    """One restart's Metropolis sweeps over a coupled model's energy table.
+
+    The kernel interface of :func:`_restart_loop`. ``table[v]`` is the
+    energy over ``den`` of the state int ``v`` (bit k is variable k), so a
+    flip of variable i costs ``table[v ^ 1 << i] - table[v]``: the int the
+    field loop of :func:`anneal` keeps, priced, accepted and counted as
+    that loop does, so every result and trajectory is the same.
+    """
+    n = len(start)
+    exp = math.exp
+    masks = [1 << k for k in range(n)]  # a lookup is cheaper than a shift
+    value = sum(b << k for k, b in enumerate(start.tolist()))
+    energy = run_e = table[value]
+    run_value, attempts = value, 0
+    if reaches_target(run_e):  # the start state is at the target: no sweeps
+        return run_e, run_value, attempts, True
+    done = False
+    for sweep, order, uniforms in _each_sweep(draws):
+        t = temperature(sweep)
+        attempts += n
+        for i, u in zip(order, uniforms):
+            flipped = value ^ masks[i]
+            de = table[flipped] - energy
+            if de > 0 and u >= exp(-(de / den) / t):
+                continue
+            value, energy = flipped, energy + de
+            if energy < run_e:
+                run_e, run_value = energy, value
+                if reaches_target(run_e):
+                    attempts -= n - 1 - order.index(i)  # the visits not made
+                    done = True
+                    break
+        sweep_bests.append(run_e)
+        if done:
+            break
+    return run_e, run_value, attempts, done
 
 
 def _diagonal_sweeps(

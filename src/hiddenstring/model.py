@@ -232,6 +232,36 @@ class VarLabel:
         return cls(VarKind(m.group(1)), int(m.group(2)))
 
 
+# Fraction(text) builds 10**exponent, so an exponent of millions would run
+# for minutes; past the interpreter's default int-string digit limit it is
+# refused instead.
+_MAX_EXPONENT = 4300
+_PLAIN_DECIMAL = re.compile(r"([-+]?[0-9]+)(?:\.([0-9]+))?")
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _parse_coefficient(text: str) -> Fraction:
+    """An exact coefficient from its text, as ``Fraction(text)`` reads it.
+
+    A plain decimal ``[+-]digits[.digits]`` is read with ints alone, as
+    ``Fraction(int(whole + frac), 10**len(frac))``; every other form goes
+    to ``Fraction(text)``. Raises ValueError on text that is not a number,
+    on a zero denominator, and on a decimal exponent whose magnitude is
+    above 4300.
+    """
+    plain = _PLAIN_DECIMAL.fullmatch(text)
+    if plain:
+        whole, frac = plain.group(1), plain.group(2) or ""
+        return Fraction(int(whole + frac), 10 ** len(frac))
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
+        raise ValueError(f"exponent of {text!r} is beyond ±{_MAX_EXPONENT}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _as_coefficient(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError(
@@ -239,6 +269,8 @@ def _as_coefficient(value) -> Fraction:
         )
     if type(value) is Fraction:
         return value  # immutable, so shared as it is
+    if isinstance(value, str):
+        return _parse_coefficient(value)
     return Fraction(value)
 
 

@@ -12,6 +12,16 @@ otherwise; a dyadic value such as 1/2 therefore survives a round trip
 exactly. Lines whose first token is ``c`` are accepted as comments on
 import; export never writes them, so export(import(text)) == text for any
 text this module produced.
+
+Both readers, :func:`import_qubo` and the string coefficients of
+:func:`model_from_dict`, take a value in any form ``Fraction(text)``
+reads: an integer, a decimal such as ``-1.25``, a ratio such as ``3/4``,
+or a decimal with an exponent such as ``2.5e-3``, each with an optional
+sign. A plain decimal is read with ints, and every value is exact. An
+exponent whose magnitude is above 4300 (the interpreter's default limit
+on the digits of an int read from text) is refused, as building its power
+of ten could take minutes; so are a zero denominator and text that is not
+a number.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from pathlib import Path
 
-from .model import QuboModel, VarLabel
+from .model import QuboModel, VarLabel, _parse_coefficient
 
 __all__ = [
     "QuboFormatError",
@@ -105,9 +115,9 @@ def import_qubo(source: str | Path) -> QuboModel:
         except ValueError:
             raise QuboFormatError(f"line {lineno}: non-integer index in {raw!r}")
         try:
-            value = Fraction(parts[2])
-        except (ValueError, ZeroDivisionError):
-            raise QuboFormatError(f"line {lineno}: unreadable value {parts[2]!r}")
+            value = _parse_coefficient(parts[2])
+        except ValueError as exc:
+            raise QuboFormatError(f"line {lineno}: unreadable value: {exc}") from None
         n_vars = header[0]
         if not (0 <= i < n_vars and 0 <= j < n_vars):
             raise QuboFormatError(
@@ -178,8 +188,11 @@ def model_from_dict(data: dict) -> QuboModel:
         except KeyError:
             raise ValueError(f"coefficient on undeclared label {name!r}") from None
 
-    linear = {lookup(k): Fraction(v) for k, v in data.get("linear", {}).items()}
+    def coefficient(value) -> Fraction:
+        return _parse_coefficient(value) if isinstance(value, str) else Fraction(value)
+
+    linear = {lookup(k): coefficient(v) for k, v in data.get("linear", {}).items()}
     quadratic = {
-        (lookup(a), lookup(b)): Fraction(v) for a, b, v in data.get("quadratic", [])
+        (lookup(a), lookup(b)): coefficient(v) for a, b, v in data.get("quadratic", [])
     }
     return QuboModel(labels, linear, quadratic)

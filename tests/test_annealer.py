@@ -216,11 +216,23 @@ class TestAnneal:
 
 
 def run_kernel(kernel, model, schedule, seed, target=None):
-    """Anneal ``model`` with one of the three kernels, recording the trajectory."""
+    """Anneal ``model`` with one of the kernels, recording the trajectory.
+
+    "sequential" forces the field loop by failing the int64 bound; "table"
+    and "field" run :func:`anneal` as it is and require that it built the
+    model's energy table, or did not.
+    """
     n = model.n_vars
     if kernel == "black box":
         return anneal_black_box(lambda v: qubo_energy(model, BitVector.from_integer(v, n)), n,
                                 schedule, seed=seed, target_energy=target, record_trajectory=True)
+    if kernel in ("table", "field"):
+        with mock.patch.object(annealer, "_scaled_energy_table",
+                               wraps=annealer._scaled_energy_table) as table:
+            result = anneal(model, schedule, seed=seed, target_energy=target,
+                            record_trajectory=True)
+        assert table.called == (kernel == "table")
+        return result
     assert kernel == "sequential" or not model.quadratic
     sequential = mock.patch.object(annealer, "_fits_int64", return_value=False)
     with sequential if kernel == "sequential" else contextlib.nullcontext():
@@ -254,9 +266,9 @@ def test_sweep_draws_are_permutations_and_uniforms_of_two_streams(n):
     ``random(n)``.
 
     A block of sweeps is one ``permuted`` and one ``random`` call; blocks
-    of 7 sweeps here, so that 50 sweeps cross several and end on a short
-    one. A flat objective accepts every flip, so the black box's callback
-    sees the start and then every visit. Every golden rests on these
+    of 1, 2, 4 and then 7 sweeps here, so that 50 sweeps cross several and
+    end on a short one. A flat objective accepts every flip, so the black
+    box's callback sees the start and then every visit. Every golden rests on these
     draws, so a numpy whose streams differ is named on failure.
     """
     sweeps, numpy = 50, f"numpy {np.__version__} draws other streams"
@@ -408,19 +420,39 @@ def coupler_free_model(rng, levels, n):
     return model, sum(c for c in model.linear.values() if c < 0)
 
 
+def table_bound_sweeps(n):
+    """The least sweeps whose visits, ``sweeps * n``, cover the 2**n table."""
+    return -(-(2**n) // n)
+
+
 @pytest.mark.parametrize("target", ["none", "ground"])
 @pytest.mark.parametrize("kernel, n", [
     *((kernel, n) for kernel in ("sequential", "black box") for n in (1, 2, 16, 24)),
     ("diagonal", "one-128"), ("diagonal", "mixed-24"), ("diagonal", "zero-24"),
+    ("table", "dense-10"), ("table", "dense-12"), ("field", "short-12"), ("field", "huge-10"),
 ], ids=lambda p: str(p))
 def test_kernels_match_the_reference_loop(kernel, n, target):
+    sched = AnnealSchedule(sweeps=6, t_initial=1.0, t_final=0.1, restarts=3)
     if kernel == "diagonal":
         levels, size = n.split("-")
         model, ground = coupler_free_model(np.random.default_rng(40), levels, int(size))
+    elif kernel in ("table", "field"):
+        # Dense tenths models. "dense" and "huge" anneal for exactly the
+        # sweeps whose visits cover the table; "huge" lifts one bias past
+        # int64, and "short" keeps the 6-sweep schedule.
+        form, size = n.split("-")
+        model = random_tenths_model(np.random.default_rng(42), int(size))
+        if form == "huge":
+            x0 = model.labels[0]
+            model = QuboModel(model.labels, {**model.linear, x0: model.linear[x0] + 2**63},
+                              model.quadratic)
+        if form != "short":
+            sched = AnnealSchedule(sweeps=table_bound_sweeps(model.n_vars), t_initial=2.0,
+                                   t_final=0.1, restarts=3)
+        ground = exhaustive_solve(model).ground_energy
     else:
         model, ground = block_model(np.random.default_rng(40 + n), n)
     target_energy = ground if target == "ground" else None
-    sched = AnnealSchedule(sweeps=6, t_initial=1.0, t_final=0.1, restarts=3)
     start_evaluations = int(kernel == "black box")
     for seed in range(3):
         result = run_kernel(kernel, model, sched, seed, target_energy)
@@ -428,22 +460,29 @@ def test_kernels_match_the_reference_loop(kernel, n, target):
                                                        start_evaluations), seed
 
 
-@pytest.mark.parametrize("kernel", ["diagonal", "sequential", "black box"])
+@pytest.mark.parametrize("kernel", ["diagonal", "sequential", "table", "black box"])
 def test_block_size_changes_no_value(kernel):
     # One sweep per block, blocks of 7 sweeps, and the default: with and
     # without a target, so that some runs stop part way through a block.
+    # The last target is met in the first two sweeps: inside the default's
+    # first block (5 of 40 sweeps, 42 of 342), and past the first of the
+    # others.
     if kernel == "diagonal":
         model, ground = coupler_free_model(np.random.default_rng(41), "mixed", 24)
     else:
         model, ground = block_model(np.random.default_rng(41), 12)
     n = model.n_vars
-    sched = AnnealSchedule(sweeps=40, t_initial=4.0, t_final=0.05, restarts=3)
-    for seed, target in [(0, None), (1, None), (2, ground), (3, ground)]:
+    sweeps = table_bound_sweeps(n) if kernel == "table" else 40
+    sched = AnnealSchedule(sweeps=sweeps, t_initial=4.0, t_final=0.05, restarts=3)
+    early = ground / 2
+    for seed, target in [(0, None), (1, None), (2, ground), (3, ground), (4, early)]:
         results = []
         for visits in (1, 7 * n, annealer._BATCH_VISITS):
             with mock.patch.object(annealer, "_BATCH_VISITS", visits):
                 results.append(run_kernel(kernel, model, sched, seed, target))
         assert results[0] == results[1] == results[2], (seed, visits)
+    attempts = results[0].energy_evaluations - int(kernel == "black box")
+    assert results[0].restarts_used == 1 and attempts <= 2 * n, attempts
 
 
 class TestAnnealBlackBox:

@@ -419,6 +419,20 @@ class TestExportImport:
         assert code == 2
         assert "out of range" in err
 
+    def test_huge_exponent_exits_two_in_both_readers(self, capsys, tmp_path):
+        # Read as a Fraction, 1e20000000 would build 10**20000000 first.
+        qubo = tmp_path / "huge.qubo"
+        qubo.write_text("p qubo 0 1 1 0\n0 0 1e20000000\n")
+        code, out, err = run(capsys, "spectrum", "--in", str(qubo))
+        assert (code, out) == (2, "")
+        assert "line 2" in err
+        model = tmp_path / "huge.json"
+        model.write_text(json.dumps({"kind": "qubo", "labels": ["x0"],
+                                     "linear": {"x0": "-1E-20000000"}}))
+        code, out, err = run(capsys, "export", "--in", str(model))
+        assert (code, out) == (2, "")
+        assert "exponent" in err
+
 
 def write_config(tmp_path, data):
     path = tmp_path / "run.json"

@@ -300,13 +300,14 @@ def stop_visit(model, sched, seed):
     return divmod(visits - 1, n)
 
 
-@pytest.mark.parametrize("wanted", [(1, -1), (0, 0)],
+@pytest.mark.parametrize("wanted", [(0, -1), (1, 0)],
                          ids=["last visit of a batch", "first visit of the next batch"])
 def test_stop_on_a_batch_boundary_matches_the_sequential_loop(wanted):
     """Two-sweep batches, and a seed whose stop falls on a batch boundary.
 
-    ``wanted`` is (sweep parity, visit): the last visit of an odd sweep ends
-    a batch, and the first visit of an even sweep starts one.
+    The first batch is one sweep and every later one two, so ``wanted`` is
+    (sweep parity, visit): the last visit of an even sweep ends a batch,
+    and the first visit of an odd sweep starts one.
     """
     model = COUPLER_FREE["mixed"]
     n = model.n_vars

@@ -298,6 +298,23 @@ class TestModelConstruction:
         m = QuboModel((lab,), {lab: Fraction(1, 2)})
         assert m.linear[lab] == QuboModel((lab,), {lab: "1/2"}).linear[lab]
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.from_regex(r"\A[-+]?[0-9]{1,30}(\.[0-9]{1,30})?\Z"))
+    def test_plain_decimal_text_reads_as_fraction_reads_it(self, text):
+        assert IsingModel((), offset=text).offset == Fraction(text)
+
+    def test_other_text_reads_as_fraction_reads_it(self):
+        for text in ("1.", ".5", "-.25", "3/4", "-7/21", "2.5e-3", "1E4300", "-1e-4300",
+                     "1_000", "1e1_0", " 7 ", "١٢"):
+            assert IsingModel((), offset=text).offset == Fraction(text), text
+
+    def test_rejects_text_that_is_not_an_exact_number(self):
+        # Fraction would build 10**20000000 for the first two and run for
+        # minutes; exponents past 4300 are refused.
+        for text in ("1e20000000", "-1E-20000000", "1e4301", "1/0", "pi", "nan", "inf", ""):
+            with pytest.raises(ValueError):
+                IsingModel((), offset=text)
+
     def test_addition_merges_coefficients(self):
         a, b, c = (VarLabel.plain(i) for i in range(3))
         left = QuboModel((a, b), {a: 1}, {(a, b): 2})

@@ -136,8 +136,10 @@ class TestImport:
     def test_malformed_entry_reports_line_number(self):
         with pytest.raises(QuboFormatError, match="line 3"):
             import_qubo("p qubo 0 2 2 0\n0 0 1\n1 1\n")
-        with pytest.raises(QuboFormatError, match="line 2"):
-            import_qubo("p qubo 0 2 1 0\n0 0 pi\n")
+        # A huge exponent is refused before Fraction builds its power of ten.
+        for value in ("pi", "1/0", "1e20000000", "-1E-20000000"):
+            with pytest.raises(QuboFormatError, match="line 2: unreadable value"):
+                import_qubo(f"p qubo 0 2 1 0\n0 0 {value}\n")
         with pytest.raises(QuboFormatError, match="line 2: non-integer index"):
             import_qubo("p qubo 0 2 1 0\nx 0 1\n")
 
@@ -186,6 +188,12 @@ class TestModelDict:
     def test_rejects_wrong_kind(self):
         with pytest.raises(ValueError):
             model_from_dict({"kind": "ising", "labels": []})
+
+    def test_rejects_malformed_values(self):
+        for value in ("pi", "1/0", "1e20000000", "-1E-20000000"):
+            for data in ({"linear": {"x0": value}}, {"quadratic": [["x0", "x1", value]]}):
+                with pytest.raises(ValueError):
+                    model_from_dict({"kind": "qubo", "labels": ["x0", "x1"], **data})
 
     def test_rejects_undeclared_labels(self):
         with pytest.raises(ValueError):
