@@ -14,7 +14,7 @@ m-th ``permutation(n)`` of the first stream and accepts with the m-th
 from versions that drew orders and uniforms alternately from one stream;
 their distribution does not.
 
-One draw path, one restart loop, four visit loops. :func:`_sweep_draws`
+One draw path, one restart loop, three visit loops. :func:`_sweep_draws`
 draws the sweeps of a restart a block at a time, about 4 096 visits per
 block once its first blocks have grown to that size, with one ``permuted``
 and one ``random`` call per block; the block sizes change no value.
@@ -23,21 +23,22 @@ stop, records the trajectory, merges the restarts' best states and builds
 the result; once per restart it calls a kernel that runs the sweeps with
 its visit loop inline. The explicit kernel (:func:`anneal`) works on the
 model compiled to exact ints over a common denominator, in one of three
-visit loops chosen from the model and the schedule, all with identical
-results. On a model without couplers whose costs fit in int64 (the
+paths chosen from the model and the schedule, all with identical results.
+On a model without couplers whose costs fit in int64 (the
 Bernstein-Vazirani model among them), each block of sweeps is a few numpy
 array operations. Its arrays are made once per restart, and each block
 prices its sweeps with the float expression of
 :meth:`AnnealSchedule.temperature`, one price per sweep and cost level,
 broadcast over the row when there is one level. A coupled model whose
 2**n energy table, in int64, is no larger than one restart's visits
-(``2**n <= sweeps * n``, and n at most 20) is annealed over that table:
-the state is one int and a flip costs two lookups. Every other model takes
-the field loop, which keeps each variable's local field. The black-box
-kernel (:func:`anneal_black_box`) prices every flip with one evaluation of
-an opaque energy callback (the oracle-coupled search, whose objective
-exists only behind oracle queries); its state is one integer, flipped with
-an xor and handed to the callback as that bare int. Energies are compared
+(``2**n <= sweeps * n``, and n at most 20) is annealed over that table.
+Every other model takes the field loop, which keeps each variable's local
+field. The table path and the black-box kernel (:func:`anneal_black_box`,
+the oracle-coupled search, whose objective exists only behind oracle
+queries) share one visit loop, :func:`_int_sweeps`: the state is one int,
+flipped with an xor, and every flip reads the flipped state's energy from
+a map of state ints to exact energies, a table lookup or one evaluation of
+the opaque callback, which receives the bare int. Energies are compared
 exactly, as ints or the callback's own values, and so is an int or
 Fraction early-stop target; only a float target and the trajectory round
 energies to floats.
@@ -48,12 +49,12 @@ takes each sweep's order and uniforms as two lists. The sweep walks
 ``zip(order, uniforms)``, counts its n attempts up front, and on an early
 stop takes back the visits after the stopping one, found by its position
 in the order. The field loop updates the neighbours' fields on an accepted
-flip by branching on the bit instead of multiplying by a sign; the table
-and black-box loops xor the visited bit's mask into a local and keep it
-only on accept, so a rejected flip costs no second xor. Each uphill flip
-is priced where it is visited, as ``exp(-(dE/den)/T)`` (or
-``exp(-dE/T)``), so every draw, result and trajectory matches a plain loop
-that prices and counts visit by visit.
+flip by branching on the bit instead of multiplying by a sign; the int
+loop xors the visited bit's mask into a local and keeps it only on accept,
+so a rejected flip costs no second xor. Each uphill flip is priced where
+it is visited, as ``exp(-(dE/den)/T)`` (``den`` is 1 for the callback), so
+every draw, result and trajectory matches a plain loop that prices and
+counts visit by visit.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ import math
 import numbers
 import operator
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -361,7 +362,7 @@ def anneal(
     from its own uniforms and the sweep temperatures alone. A model with
     couplers under the same bound whose energy table is no larger than one
     restart's visits, ``2**n <= sweeps * n`` with ``n <= 20``, is annealed
-    over that table (:func:`_table_sweeps`), built once per call by
+    over that table (:func:`_int_sweeps`), built once per call by
     :func:`~hiddenstring.model._scaled_energy_table` over the same ``den``:
     a flip of variable i from state v costs ``table[v ^ 1 << i] -
     table[v]``, the very int the field loop keeps, so every comparison and
@@ -388,7 +389,8 @@ def anneal(
     if (couplers and n <= _TABLE_VARS and 2**n <= schedule.sweeps * n
             and _fits_int64(h, couplers)):
         energies = _scaled_energy_table(model)[0]  # over the den of _compile
-        kernel = functools.partial(_table_sweeps, table=array("q", energies.tobytes()),
+        table = array("q", energies.tobytes())
+        kernel = functools.partial(_int_sweeps, energy=functools.partial(operator.getitem, table),
                                    den=den, temperature=temperature)
         return _restart_loop(kernel, n, schedule, seed, target_energy, record_trajectory, den)
     neighbors: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -454,29 +456,35 @@ def anneal(
     return _restart_loop(restart, n, schedule, seed, target_energy, record_trajectory, den)
 
 
-def _table_sweeps(
+def _int_sweeps(
     draws: Iterator[tuple[int, np.ndarray, np.ndarray]],
     start: np.ndarray,
-    reaches_target: Callable[[int], bool],
-    sweep_bests: list[int],
+    reaches_target: Callable,
+    sweep_bests: list,
     *,
-    table: array,
+    energy: Callable[[int], Fraction | float | int],
     den: int,
     temperature: Callable[[int], float],
-) -> tuple[int, int, int, bool]:
-    """One restart's Metropolis sweeps over a coupled model's energy table.
+) -> tuple:
+    """One restart's Metropolis sweeps over a state held as one int.
 
-    The kernel interface of :func:`_restart_loop`. ``table[v]`` is the
-    energy over ``den`` of the state int ``v`` (bit k is variable k), so a
-    flip of variable i costs ``table[v ^ 1 << i] - table[v]``: the int the
-    field loop of :func:`anneal` keeps, priced, accepted and counted as
-    that loop does, so every result and trajectory is the same.
+    The kernel interface of :func:`_restart_loop`, shared by the energy
+    table of :func:`anneal` and the callback of :func:`anneal_black_box`.
+    Bit k of the state int is variable k; ``energy(v)`` is the exact
+    energy of state ``v``, read once for the start and once per flip
+    attempt, and a flip of variable i costs ``energy(v ^ 1 << i) -
+    energy(v)``, priced as ``exp(-(dE/den)/T)``. The negated tests reject
+    a NaN cost (inf - inf); for an int cost they decide as ``dE > 0 and u
+    >= p`` does, so on the table every result and trajectory is the field
+    loop's. A start state that already meets the target stops the restart
+    before its first flip attempt. The attempts returned leave out the
+    start's evaluation.
     """
     n = len(start)
     exp = math.exp
     masks = [1 << k for k in range(n)]  # a lookup is cheaper than a shift
     value = sum(b << k for k, b in enumerate(start.tolist()))
-    energy = run_e = table[value]
+    e_cur = run_e = energy(value)
     run_value, attempts = value, 0
     if reaches_target(run_e):  # the start state is at the target: no sweeps
         return run_e, run_value, attempts, True
@@ -486,12 +494,13 @@ def _table_sweeps(
         attempts += n
         for i, u in zip(order, uniforms):
             flipped = value ^ masks[i]
-            de = table[flipped] - energy
-            if de > 0 and u >= exp(-(de / den) / t):
+            e_new = energy(flipped)
+            de = e_new - e_cur
+            if not de <= 0 and not u < exp(-(de / den) / t):
                 continue
-            value, energy = flipped, energy + de
-            if energy < run_e:
-                run_e, run_value = energy, value
+            value, e_cur = flipped, e_new
+            if e_new < run_e:
+                run_e, run_value = e_new, value
                 if reaches_target(run_e):
                     attempts -= n - 1 - order.index(i)  # the visits not made
                     done = True
@@ -634,15 +643,14 @@ def anneal_black_box(
     The dynamics of :func:`anneal`, with no structure of the objective
     assumed: each restart evaluates its start state once, then every flip
     attempt costs one callback evaluation of the flipped state.
-    ``energy_evaluations`` counts callback calls, ``restarts_used * (1 +
-    flips attempted)`` for a run that does not stop early. Each sweep
-    takes its visit order and uniforms from the two streams of
-    :func:`anneal` and flips the visited variable's bit mask ``1 << k``,
-    so on the explicit model's energy it runs the dynamics of
-    :func:`anneal`. The callback
-    receives the state as a plain int ``v`` with ``0 <= v < 2**n_vars``,
-    whose bit k is variable k; ``best_assignment`` is the
-    :class:`BitVector` of the best such int.
+    ``energy_evaluations`` counts callback calls, ``restarts_used`` plus
+    the flips attempted. The restarts run :func:`_int_sweeps`, the visit
+    loop of :func:`anneal`'s energy table, with the callback in place of
+    the table, so on the explicit model's energy it runs the dynamics of
+    :func:`anneal`, early stops included. The callback receives the state
+    as a plain int ``v`` with ``0 <= v < 2**n_vars``, whose bit k is
+    variable k; ``best_assignment`` is the :class:`BitVector` of the best
+    such int.
 
     Energies are the callback's own values, so costs, the best-state
     comparison and the merge are exact for an int or Fraction objective,
@@ -650,46 +658,13 @@ def anneal_black_box(
     stops the run when a new best energy is at most the target: exactly,
     ``e <= target``, for an int or Fraction target, and with the energy
     rounded to the nearest float for a float target, so that ``float(E)``
-    still fires at a floor E whose float lies just below it. A start state
-    that already meets the target stops after one flip attempt
-    (:func:`anneal` makes none). ``trajectory`` records the best energy
-    after each sweep as a float.
+    still fires at a floor E whose float lies just below it.
+    ``trajectory`` records the best energy after each sweep as a float.
     """
     if _as_count("n_vars", n_vars) < 1:
         raise ValueError(f"need at least one variable, got n_vars={n_vars}")
-    exp, temperature = math.exp, schedule.temperature
-    masks = [1 << k for k in range(n_vars)]
-
-    def restart(draws, start, reaches_target, sweep_bests):
-        value = sum(b << k for k, b in enumerate(start.tolist()))
-        e_cur = energy(value)
-        evaluations = 1
-        run_e, run_value = e_cur, value
-        met = reaches_target(run_e)
-        done = False
-        for sweep, order, uniforms in _each_sweep(draws):
-            t = temperature(sweep)
-            if met:  # the start state is at the target: one attempt, then stop
-                del order[1:]
-                done = True
-            evaluations += len(order)
-            for i, u in zip(order, uniforms):
-                flipped = value ^ masks[i]
-                e_new = energy(flipped)
-                de = e_new - e_cur
-                # Negated tests, so that a NaN cost (inf - inf) is rejected.
-                if not de <= 0 and not u < exp(-de / t):
-                    continue
-                value, e_cur = flipped, e_new
-                if e_new < run_e:
-                    run_e, run_value = e_new, value
-                    if reaches_target(run_e):
-                        evaluations -= len(order) - 1 - order.index(i)  # the visits not made
-                        done = True
-                        break
-            sweep_bests.append(run_e)
-            if done:
-                break
-        return run_e, run_value, evaluations, done
-
-    return _restart_loop(restart, n_vars, schedule, seed, target_energy, record_trajectory)
+    kernel = functools.partial(_int_sweeps, energy=energy, den=1,
+                               temperature=schedule.temperature)
+    result = _restart_loop(kernel, n_vars, schedule, seed, target_energy, record_trajectory)
+    # Each restart also evaluated its start state.
+    return replace(result, energy_evaluations=result.energy_evaluations + result.restarts_used)

@@ -25,7 +25,8 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .annealer import (
-    AnnealSchedule, _seeded_rng, _spawn_seed, anneal, anneal_black_box, default_schedule,
+    AnnealSchedule, _as_count, _seeded_rng, _spawn_seed, anneal, anneal_black_box,
+    default_schedule,
 )
 from .builders import _check_j, build_bv_qubo, build_simon_literal_qubo, coupled_value
 # Not called here since the coupled search memoizes labels, but kept as an
@@ -328,8 +329,7 @@ def solve_simon(
         raise ValueError("explicit j only makes sense with the fixed policy")
 
     start = time.perf_counter()
-    if budget is None:
-        budget = 64 * n
+    budget = 64 * n if budget is None else _as_count("budget", budget)
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
     if schedule is None:
@@ -444,7 +444,7 @@ def bench_calls(
     if problem not in _PROBLEMS:
         raise ValueError(f"unknown problem {problem!r}")
     _check_sizes(problem, n_values, j_policy, j, solver)
-    if trials < 1:
+    if _as_count("trials", trials) < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if problem == "simon" and solver != "anneal":
         raise ValueError(f"solver {solver!r} applies only to problem 'bv'")

@@ -21,7 +21,8 @@ sign. A plain decimal is read with ints, and every value is exact. An
 exponent whose magnitude is above 4300 (the interpreter's default limit
 on the digits of an int read from text) is refused, as building its power
 of ten could take minutes; so are a zero denominator and text that is not
-a number.
+a number. A model dict also takes a JSON integer, and refuses a JSON
+float as every :class:`QuboModel` does.
 """
 
 from __future__ import annotations
@@ -176,9 +177,20 @@ def model_to_dict(model: QuboModel) -> dict:
 
 
 def model_from_dict(data: dict) -> QuboModel:
-    """Inverse of :func:`model_to_dict`."""
+    """Inverse of :func:`model_to_dict`.
+
+    Raises ValueError on a document that is not an object of kind
+    ``"qubo"`` with ``labels``, and on a coefficient that
+    :class:`QuboModel` refuses: text that is not an exact number, a float
+    (a JSON number with a fraction or an exponent), or a value that is not
+    a number.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
     if data.get("kind") != "qubo":
         raise ValueError(f"expected a dict with kind 'qubo', got {data.get('kind')!r}")
+    if "labels" not in data:
+        raise ValueError("the model has no 'labels'")
     labels = tuple(VarLabel.parse(text) for text in data["labels"])
     by_name = {str(lab): lab for lab in labels}
 
@@ -188,11 +200,9 @@ def model_from_dict(data: dict) -> QuboModel:
         except KeyError:
             raise ValueError(f"coefficient on undeclared label {name!r}") from None
 
-    def coefficient(value) -> Fraction:
-        return _parse_coefficient(value) if isinstance(value, str) else Fraction(value)
-
-    linear = {lookup(k): coefficient(v) for k, v in data.get("linear", {}).items()}
-    quadratic = {
-        (lookup(a), lookup(b)): coefficient(v) for a, b, v in data.get("quadratic", [])
-    }
-    return QuboModel(labels, linear, quadratic)
+    linear = {lookup(k): v for k, v in data.get("linear", {}).items()}
+    quadratic = {(lookup(a), lookup(b)): v for a, b, v in data.get("quadratic", [])}
+    try:
+        return QuboModel(labels, linear, quadratic)
+    except TypeError as exc:  # a float, null, list or object coefficient
+        raise ValueError(f"bad coefficient: {exc}") from None

@@ -255,7 +255,7 @@ def test_exact_target_stops_only_at_the_ground(kernel):
     assert all(r.best_energy == ground and r.restarts_used == 1 for r in exact)
     above = sum(run_kernel(kernel, model, sched, seed, float(ground)).best_energy != ground
                 for seed in range(50))
-    assert above == {"diagonal": 21, "sequential": 21, "black box": 13}[kernel]
+    assert above == {"diagonal": 21, "sequential": 21, "black box": 21}[kernel]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 14, 16, 33, 128, 256])
@@ -302,8 +302,7 @@ def reference_metropolis(model, schedule, seed, target, start_evaluations):
     ``start_evaluations``. The run stops after the visit whose new best
     energy e reaches ``target``: ``e <= target`` for a rational target,
     ``float(e) <= target`` for a float one, never for None. A start state
-    already at the target stops the run before any visit, or after one
-    flip attempt when ``start_evaluations`` is set (the black box).
+    already at the target stops the run before any visit.
     Returns ``(best bits, best energy, restarts used, evaluations,
     trajectory)``, the trajectory being the best energy after each sweep
     as a float.
@@ -333,15 +332,12 @@ def reference_metropolis(model, schedule, seed, target, start_evaluations):
         e = qubo_energy(model, s)
         evaluations += start_evaluations
         run_e, run_bits = e, list(s)
-        met = reaches(e)
-        done = met and not start_evaluations
+        done = reaches(e)
         for sweep in range(schedule.sweeps):
             if done:
                 break
             t = schedule.temperature(sweep)
             order, us = orders.permutation(n).tolist(), uniforms.random(n).tolist()
-            if met:
-                order, done = order[:1], True
             for i, u in zip(order, us):
                 de = h[i] + sum(c for j, c in neighbors[i] if s[j])
                 de = -de if s[i] else de
@@ -523,7 +519,7 @@ class TestAnnealBlackBox:
         result = anneal_black_box(lambda s: 0, 6, sched, seed=0)
         assert result.best_assignment.to_integer() == 33
 
-    def test_start_state_at_target_stops_after_one_flip_attempt(self):
+    def test_start_state_at_target_stops_before_any_flip_attempt(self):
         seen = []
 
         def energy(v):
@@ -534,7 +530,7 @@ class TestAnnealBlackBox:
         sched = AnnealSchedule(sweeps=5, t_initial=1.0, t_final=0.5, restarts=2)
         result = anneal_black_box(energy, 6, sched, seed=4, target_energy=0.0)
         assert result.restarts_used == 1
-        assert result.energy_evaluations == len(seen) == 2
+        assert result.energy_evaluations == len(seen) == 1
         assert result.best_assignment.to_integer() == 63
 
     def test_popcount_trajectory(self):

@@ -433,6 +433,19 @@ class TestExportImport:
         assert (code, out) == (2, "")
         assert "exponent" in err
 
+    @pytest.mark.parametrize("text", [
+        '{"kind": "qubo", "labels": ["x0"], "linear": {"x0": 1e400}}',
+        '{"kind": "qubo", "labels": ["x0"], "linear": {"x0": 0.1}}',
+        "[1]",
+        '{"kind": "qubo"}',
+    ])
+    def test_malformed_json_model_exits_two(self, capsys, tmp_path, text):
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        code, out, err = run(capsys, "export", "--in", str(model))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
 
 def write_config(tmp_path, data):
     path = tmp_path / "run.json"

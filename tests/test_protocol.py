@@ -29,7 +29,7 @@ from hiddenstring.protocol import _coupled_objective
 GOLDEN = json.loads((Path(__file__).parent / "data" / "coupled_golden.json").read_text())
 # The exact oracle queries of each golden case. The golden file records
 # the larger counts of an earlier search, which the test keeps as a bound.
-COUPLED_QUERIES = [42, 49, 37, 65, 162, 196, 41, 92, 53, 100, 85]
+COUPLED_QUERIES = [42, 49, 36, 65, 162, 196, 41, 92, 53, 100, 85]
 
 
 class TestXorRecover:
@@ -294,6 +294,8 @@ class TestSolveSimon:
             solve_simon(oracle, j=1)  # j without fixed policy
         with pytest.raises(ValueError):
             solve_simon(oracle, budget=0)
+        with pytest.raises(ValueError, match="budget must be an integer"):
+            solve_simon(oracle, budget=1.5)
         for mode in ("coupled", "literal"):
             for j in (0, oracle.n + 1):
                 with pytest.raises(ValueError, match="j must be in"):
@@ -362,6 +364,8 @@ class TestBenchCalls:
             bench_calls("parity", [4], trials=1)
         with pytest.raises(ValueError):
             bench_calls("bv", [4], trials=0)
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            bench_calls("bv", [4], trials=2.5)
 
     @pytest.mark.parametrize("problem", ["bv", "simon"])
     def test_rejects_an_empty_size_list_before_any_trial(self, problem):

@@ -1,5 +1,6 @@
 """Serialization: the .qubo text format and the JSON model dict."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -186,11 +187,14 @@ class TestModelDict:
         assert model_from_dict(data).linear[lab] == Fraction(1, 3)
 
     def test_rejects_wrong_kind(self):
-        with pytest.raises(ValueError):
-            model_from_dict({"kind": "ising", "labels": []})
+        # Also a document that is not an object, and one without labels.
+        for data in ({"kind": "ising", "labels": []}, [1], {"kind": "qubo"}):
+            with pytest.raises(ValueError):
+                model_from_dict(data)
 
     def test_rejects_malformed_values(self):
-        for value in ("pi", "1/0", "1e20000000", "-1E-20000000"):
+        # json.loads reads 1e400 as float inf; a float is refused, not rounded.
+        for value in ("pi", "1/0", "1e20000000", "-1E-20000000", json.loads("1e400"), 0.1):
             for data in ({"linear": {"x0": value}}, {"quadratic": [["x0", "x1", value]]}):
                 with pytest.raises(ValueError):
                     model_from_dict({"kind": "qubo", "labels": ["x0", "x1"], **data})
