@@ -10,51 +10,38 @@ r draws from two streams: ``SeedSequence((seed, r))`` draws its start
 state and then the visit order of every sweep, and ``SeedSequence((seed,
 r, 1))`` draws every sweep's uniforms. Sweep m visits in the order of the
 m-th ``permutation(n)`` of the first stream and accepts with the m-th
-``random(n)`` of the second. Results for a given seed therefore differ
-from versions that drew orders and uniforms alternately from one stream;
-their distribution does not.
+``random(n)`` of the second.
 
-One draw path, one restart loop, three visit loops. :func:`_sweep_draws`
-draws the sweeps of a restart a block at a time, about 4 096 visits per
-block once its first blocks have grown to that size, with one ``permuted``
-and one ``random`` call per block; the block sizes change no value.
-:func:`_restart_loop` seeds each restart, draws its start, tests the early
-stop, records the trajectory, merges the restarts' best states and builds
-the result; once per restart it calls a kernel that runs the sweeps with
-its visit loop inline. The explicit kernel (:func:`anneal`) works on the
-model compiled to exact ints over a common denominator, in one of three
-paths chosen from the model and the schedule, all with identical results.
-On a model without couplers whose costs fit in int64 (the
-Bernstein-Vazirani model among them), each block of sweeps is a few numpy
-array operations. Its arrays are made once per restart, and each block
-prices its sweeps with the float expression of
-:meth:`AnnealSchedule.temperature`, one price per sweep and cost level,
-broadcast over the row when there is one level. A coupled model whose
-2**n energy table, in int64, is no larger than one restart's visits
-(``2**n <= sweeps * n``, and n at most 20) is annealed over that table.
-Every other model takes the field loop, which keeps each variable's local
-field. The table path and the black-box kernel (:func:`anneal_black_box`,
-the oracle-coupled search, whose objective exists only behind oracle
-queries) share one visit loop, :func:`_int_sweeps`: the state is one int,
-flipped with an xor, and every flip reads the flipped state's energy from
-a map of state ints to exact energies, a table lookup or one evaluation of
-the opaque callback, which receives the bare int. Energies are compared
-exactly, as ints or the callback's own values, and so is an int or
-Fraction early-stop target; only a float target and the trajectory round
-energies to floats.
+One draw path, one restart loop, three kernels with one signature.
+:func:`_sweep_draws` draws the sweeps of a restart a block at a time,
+about 4 096 visits per block once its first blocks have grown to that
+size, with one ``permuted`` and one ``random`` call per block; the block
+sizes change no value. :func:`_restart_loop` seeds each restart, draws its
+start, tests the early stop, records the trajectory, merges the restarts'
+best states and builds the result. Once per restart it calls a kernel,
+``kernel(draws, start, reaches_target, sweep_bests)``, which runs the
+sweeps with its visit loop inline. :func:`anneal` compiles the model to
+exact ints over a common denominator and binds one of three kernels with
+``functools.partial``, all with identical results: :func:`_diagonal_sweeps`
+(no couplers, a block of sweeps as a few numpy array operations),
+:func:`_int_sweeps` over the model's energy table (the state is one int,
+flipped with an xor) or :func:`_field_sweeps` (each variable's local field
+kept). :func:`anneal_black_box`, the oracle-coupled search whose objective
+exists only behind oracle queries, runs :func:`_int_sweeps` with its
+callback, which receives the bare state int, in place of the table.
+Energies are compared exactly, as ints or the callback's own values, and
+so is an int or Fraction early-stop target; only a float target and the
+trajectory round energies to floats.
 
 The sequential visit loops keep per-visit interpreter work to what the
 dynamics need. A restart binds the schedule's ``temperature`` once and
 takes each sweep's order and uniforms as two lists. The sweep walks
 ``zip(order, uniforms)``, counts its n attempts up front, and on an early
 stop takes back the visits after the stopping one, found by its position
-in the order. The field loop updates the neighbours' fields on an accepted
-flip by branching on the bit instead of multiplying by a sign; the int
-loop xors the visited bit's mask into a local and keeps it only on accept,
-so a rejected flip costs no second xor. Each uphill flip is priced where
-it is visited, as ``exp(-(dE/den)/T)`` (``den`` is 1 for the callback), so
-every draw, result and trajectory matches a plain loop that prices and
-counts visit by visit.
+in the order. Each uphill flip is priced where it is visited, as
+``exp(-(dE/den)/T)`` (``den`` is 1 for the callback), so every draw,
+result and trajectory matches a plain loop that prices and counts visit
+by visit.
 """
 
 from __future__ import annotations
@@ -75,6 +62,7 @@ import numpy as np
 from .model import (  # noqa: F401
     BitVector,
     QuboModel,
+    _as_count,
     _compile,
     _fits_int64,
     _scaled_energy_table,
@@ -96,14 +84,6 @@ _BATCH_VISITS = 4096
 # The largest coupled model annealed over its energy table, in variables:
 # 2**20 int64 entries are 8 MB.
 _TABLE_VARS = 20
-
-
-def _as_count(name: str, value) -> int:
-    """``value`` as an int (numpy ints pass), or a ValueError naming ``name``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -252,6 +232,11 @@ def _each_sweep(
                        map(np.ndarray.tolist, uniforms))
 
 
+def _state_int(bits: list[int]) -> int:
+    """The state int of a list of bits: bit k is variable k."""
+    return sum(b << k for k, b in enumerate(bits))
+
+
 def _restart_loop(
     kernel: Callable[..., tuple],
     n: int,
@@ -272,29 +257,18 @@ def _restart_loop(
     ``sweep_bests``. Energies are ints over ``den``, or the callback's own
     values when ``den`` is None.
 
-    An int or Fraction ``target_energy`` is compared exactly: ``e <= target``
-    against the callback's values, ``e * q <= p * den`` against ints over
-    ``den`` for a target ``p / q``. A float target (any real that is not
-    rational) is compared with the energy rounded to the nearest float, as
-    the float nearest an exact floor may lie just below it.
+    An int or Fraction ``target_energy`` is compared exactly, as ``e <=
+    target * den`` (``den`` is 1 for the callback's values). A float target
+    (any real that is not rational) is compared with the energy rounded to
+    the nearest float, as the float nearest an exact floor may lie just
+    below it. A target of None never fires.
     """
     to_float = float if den is None else lambda e: e / den
-    target = target_energy
-    if target is None:
-        def reaches_target(e) -> bool:
-            return False
-    elif not isinstance(target, numbers.Rational):
-        def reaches_target(e) -> bool:
-            return to_float(e) <= target
-    elif den is None:
-        def reaches_target(e) -> bool:
-            return e <= target
-    else:
-        target = Fraction(target)
-        q, bound = target.denominator, target.numerator * den
+    exact = isinstance(target_energy, numbers.Rational)
+    bound = Fraction(target_energy) * (den or 1) if exact else target_energy
 
-        def reaches_target(e) -> bool:
-            return e * q <= bound
+    def reaches_target(e) -> bool:
+        return bound is not None and (e if exact else to_float(e)) <= bound
 
     of = BitVector._of
     best_e, best_value = math.inf, None
@@ -343,32 +317,25 @@ def anneal(
     cost dE is accepted with probability min(1, exp(-dE/T)). Restart r
     draws its start and then each sweep's order (a ``permutation(n)``) from
     ``SeedSequence((seed, r))``, and each sweep's uniforms (a
-    ``random(n)``) from ``SeedSequence((seed, r, 1))``, so a given seed
-    gives other results than versions that drew both from one stream. The
-    model is compiled to integers over one common denominator ``den``, so
-    flip costs and running energies are exact ints; the field loop keeps
-    each variable's local field, updated at O(degree) per accepted flip,
-    and reads a flip's cost from it. Each sweep prices a cost
-    dE > 0 as ``exp(-(dE/den)/T)``. The best assignment ever visited is kept
-    across restarts, merging energy ties toward the lexicographically least
-    bit sequence; its energy is reported exactly, as ``Fraction(e, den)``.
+    ``random(n)``) from ``SeedSequence((seed, r, 1))``. The model is
+    compiled to integers over one common denominator ``den``, so flip costs
+    and running energies are exact ints, and each uphill flip is priced as
+    ``exp(-(dE/den)/T)``. The best assignment ever visited is kept across
+    restarts, merging energy ties toward the lexicographically least bit
+    sequence; its energy is reported exactly, as ``Fraction(e, den)``.
 
-    Three visit loops share these dynamics and return the same result,
-    trajectory included. A model without couplers, whose summed cost
-    magnitudes stay below 2**63, takes a block of sweeps at a time
-    (``_BATCH_VISITS // n``, at least one, at most the schedule's) as a few
-    whole-array numpy operations (:func:`_diagonal_sweeps`): no visit
-    changes another variable's cost, so each variable's acceptances follow
-    from its own uniforms and the sweep temperatures alone. A model with
-    couplers under the same bound whose energy table is no larger than one
-    restart's visits, ``2**n <= sweeps * n`` with ``n <= 20``, is annealed
-    over that table (:func:`_int_sweeps`), built once per call by
-    :func:`~hiddenstring.model._scaled_energy_table` over the same ``den``:
-    a flip of variable i from state v costs ``table[v ^ 1 << i] -
-    table[v]``, the very int the field loop keeps, so every comparison and
-    price is the same. Past that bound the table would cost more to build
-    than the anneal it serves, and every other model takes the sequential
-    field loop above.
+    ``anneal`` compiles the model and binds one kernel of
+    :func:`_restart_loop`'s signature; all three give the same result,
+    trajectory included. A model without couplers whose summed cost
+    magnitudes stay below 2**63 takes :func:`_diagonal_sweeps`: no visit
+    changes another variable's cost, so a block of sweeps is a few
+    whole-array numpy operations. A coupled model under the same bound
+    whose energy table is no larger than one restart's visits, ``2**n <=
+    sweeps * n`` with ``n <= 20``, takes :func:`_int_sweeps` over that
+    table, built once per call over the same ``den``: a flip of variable i
+    from state v costs ``table[v ^ 1 << i] - table[v]``. Past that bound
+    the table would cost more to build than the anneal it serves, and every
+    other model takes :func:`_field_sweeps`.
 
     ``target_energy`` stops the run early once a new best energy is at most
     the target (used when a lower bound for the objective is known). An int
@@ -385,75 +352,84 @@ def anneal(
     if n == 0:
         raise ValueError("cannot anneal an empty model")
     den, h, couplers = _compile(model)
-    exp, temperature = math.exp, schedule.temperature
-    if (couplers and n <= _TABLE_VARS and 2**n <= schedule.sweeps * n
-            and _fits_int64(h, couplers)):
-        energies = _scaled_energy_table(model)[0]  # over the den of _compile
-        table = array("q", energies.tobytes())
+    fits = _fits_int64(h, couplers)
+    if fits and not couplers:
+        kernel = functools.partial(_diagonal_sweeps, h=h, den=den, schedule=schedule,
+                                   record=record_trajectory)
+    elif fits and n <= _TABLE_VARS and 2**n <= schedule.sweeps * n:
+        table = array("q", _scaled_energy_table(model)[0].tobytes())  # over the den of _compile
         kernel = functools.partial(_int_sweeps, energy=functools.partial(operator.getitem, table),
-                                   den=den, temperature=temperature)
-        return _restart_loop(kernel, n, schedule, seed, target_energy, record_trajectory, den)
+                                   den=den, temperature=schedule.temperature)
+    else:
+        kernel = functools.partial(_field_sweeps, h=h, couplers=couplers, den=den,
+                                   temperature=schedule.temperature)
+    return _restart_loop(kernel, n, schedule, seed, target_energy, record_trajectory, den)
+
+
+def _field_sweeps(
+    draws: Iterator[tuple[int, np.ndarray, np.ndarray]],
+    start: np.ndarray,
+    reaches_target: Callable,
+    sweep_bests: list,
+    *,
+    h: list[int],
+    couplers: list[tuple[int, int, int]],
+    den: int,
+    temperature: Callable[[int], float],
+) -> tuple:
+    """One restart's Metropolis sweeps over a state held as a list of bits.
+
+    The kernel interface of :func:`_restart_loop`, for any compiled model:
+    biases ``h`` and ``(i, j, w)`` couplers, ints over ``den``. Each
+    variable's local field (its flip cost from 0 to 1) is kept, and an
+    accepted flip updates its neighbours' fields at O(degree), branching on
+    the bit instead of multiplying by a sign.
+    """
+    n = len(start)
+    exp = math.exp
     neighbors: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i, j, w in couplers:
         neighbors[i].append((j, w))
         neighbors[j].append((i, w))
-    diagonal = not couplers and _fits_int64(h, couplers)
-    if diagonal:
-        h_arr = np.array(h, dtype=np.int64)
-        h_abs = np.abs(h_arr)
-        ground = (h_arr < 0).astype(np.int8)
-        levels, level_of = np.unique(h_abs, return_inverse=True)
-        costs = [c / den for c in levels.tolist()]  # priced as the sequential loop does
-
-    def restart(draws, start, reaches_target, sweep_bests):
-        s = start.tolist()
-        field = list(h)
-        for i, j, w in couplers:
-            if s[j]:
-                field[i] += w
+    s = start.tolist()
+    field = list(h)
+    for i, j, w in couplers:
+        if s[j]:
+            field[i] += w
+        if s[i]:
+            field[j] += w
+    energy = sum(h[i] for i in range(n) if s[i])
+    energy += sum(w for i, j, w in couplers if s[i] and s[j])
+    run_e, run_bits = energy, s.copy()
+    if reaches_target(run_e):  # the start state is at the target: no sweeps
+        return run_e, _state_int(s), 0, True
+    attempts, done = 0, False
+    for sweep, order, uniforms in _each_sweep(draws):
+        t = temperature(sweep)
+        attempts += n
+        for i, u in zip(order, uniforms):
+            de = -field[i] if s[i] else field[i]
+            if de > 0 and u >= exp(-(de / den) / t):
+                continue
+            energy += de
             if s[i]:
-                field[j] += w
-        energy = sum(h[i] for i in range(n) if s[i])
-        energy += sum(w for i, j, w in couplers if s[i] and s[j])
-        run_e, run_bits = energy, s.copy()
-        done = reaches_target(run_e)
-        attempts = 0
-        if done:  # the start state is at the target: no sweeps
-            pass
-        elif diagonal:
-            run_e, run_bits, attempts, done = _diagonal_sweeps(
-                draws, start.astype(np.int8) ^ ground, ground, h_abs, level_of, costs,
-                schedule, energy, run_e, run_bits, reaches_target,
-                sweep_bests if record_trajectory else None)
-        else:
-            for sweep, order, uniforms in _each_sweep(draws):
-                t = temperature(sweep)
-                attempts += n
-                for i, u in zip(order, uniforms):
-                    de = -field[i] if s[i] else field[i]
-                    if de > 0 and u >= exp(-(de / den) / t):
-                        continue
-                    energy += de
-                    if s[i]:
-                        s[i] = 0
-                        for jn, w in neighbors[i]:
-                            field[jn] -= w
-                    else:
-                        s[i] = 1
-                        for jn, w in neighbors[i]:
-                            field[jn] += w
-                    if energy < run_e:
-                        run_e, run_bits = energy, s.copy()
-                        if reaches_target(run_e):
-                            attempts -= n - 1 - order.index(i)  # the visits not made
-                            done = True
-                            break
-                sweep_bests.append(run_e)
-                if done:
+                s[i] = 0
+                for jn, w in neighbors[i]:
+                    field[jn] -= w
+            else:
+                s[i] = 1
+                for jn, w in neighbors[i]:
+                    field[jn] += w
+            if energy < run_e:
+                run_e, run_bits = energy, s.copy()
+                if reaches_target(run_e):
+                    attempts -= n - 1 - order.index(i)  # the visits not made
+                    done = True
                     break
-        return run_e, sum(b << k for k, b in enumerate(run_bits)), attempts, done
-
-    return _restart_loop(restart, n, schedule, seed, target_energy, record_trajectory, den)
+        sweep_bests.append(run_e)
+        if done:
+            break
+    return run_e, _state_int(run_bits), attempts, done
 
 
 def _int_sweeps(
@@ -473,17 +449,18 @@ def _int_sweeps(
     Bit k of the state int is variable k; ``energy(v)`` is the exact
     energy of state ``v``, read once for the start and once per flip
     attempt, and a flip of variable i costs ``energy(v ^ 1 << i) -
-    energy(v)``, priced as ``exp(-(dE/den)/T)``. The negated tests reject
-    a NaN cost (inf - inf); for an int cost they decide as ``dE > 0 and u
-    >= p`` does, so on the table every result and trajectory is the field
-    loop's. A start state that already meets the target stops the restart
-    before its first flip attempt. The attempts returned leave out the
-    start's evaluation.
+    energy(v)``, priced as ``exp(-(dE/den)/T)``; the flipped int is kept
+    only on accept, so a rejected flip costs no second xor. The negated
+    tests reject a NaN cost (inf - inf); for an int cost they decide as
+    ``dE > 0 and u >= p`` does, so on the table every result and
+    trajectory is the field loop's. A start state that already meets the
+    target stops the restart before its first flip attempt. The attempts
+    returned leave out the start's evaluation.
     """
     n = len(start)
     exp = math.exp
     masks = [1 << k for k in range(n)]  # a lookup is cheaper than a shift
-    value = sum(b << k for k, b in enumerate(start.tolist()))
+    value = _state_int(start.tolist())
     e_cur = run_e = energy(value)
     run_value, attempts = value, 0
     if reaches_target(run_e):  # the start state is at the target: no sweeps
@@ -513,25 +490,23 @@ def _int_sweeps(
 
 def _diagonal_sweeps(
     draws: Iterator[tuple[int, np.ndarray, np.ndarray]],
-    excited: np.ndarray,
-    ground: np.ndarray,
-    h_abs: np.ndarray,
-    level_of: np.ndarray,
-    costs: list[float],
+    start: np.ndarray,
+    reaches_target: Callable,
+    sweep_bests: list,
+    *,
+    h: list[int],
+    den: int,
     schedule: AnnealSchedule,
-    energy: int,
-    run_e: int,
-    run_bits: list[int],
-    reaches_target: Callable[[int], bool],
-    sweep_bests: list[int] | None,
-) -> tuple[int, list[int], int, bool]:
+    record: bool,
+) -> tuple:
     """One restart's Metropolis sweeps over a coupler-free model, in numpy arrays.
 
-    Runs the sweeps a block of ``draws`` (:func:`_sweep_draws`) at a time
-    and returns ``(run_e, run_bits, visits, done)``; unless ``sweep_bests``
-    is None, appends ``run_e`` after each sweep that ran. ``excited``
-    (int8) marks the variables whose bit is not ``ground``, the bit that
-    takes the lower energy of their bias.
+    The kernel interface of :func:`_restart_loop`, for biases ``h`` (ints
+    over ``den`` whose magnitudes sum below 2**63) and no couplers. It runs
+    the sweeps a block of ``draws`` at a time, and appends to
+    ``sweep_bests`` only when ``record`` is set. A variable is excited
+    when its bit is not ``ground``, the bit that takes the lower energy of
+    its bias.
 
     Every array is made once per restart, sized to one block, and a short
     last block uses its leading rows. Variable i costs ``costs[level_of[i]]``
@@ -560,8 +535,17 @@ def _diagonal_sweeps(
     are the state at the start of that sweep with the visited head of its
     order moved on one sweep.
     """
-    n = len(excited)
+    n = len(start)
     exp = math.exp
+    h_arr = np.array(h, dtype=np.int64)
+    h_abs = np.abs(h_arr)
+    ground = (h_arr < 0).astype(np.int8)
+    levels, level_of = np.unique(h_abs, return_inverse=True)
+    costs = [c / den for c in levels.tolist()]  # priced as the sequential loop does
+    energy = run_e = int(h_arr @ start)
+    run_bits = start
+    if reaches_target(run_e):  # the start state is at the target: no sweeps
+        return run_e, _state_int(start.tolist()), 0, True
     block = _sweeps_per_block(n, schedule.sweeps)
     t0, decay = schedule.t_initial, schedule.decay
     # Indices into the flattened arrays below, in visit order.
@@ -575,7 +559,7 @@ def _diagonal_sweeps(
     shifted = np.arange(2, block + 2, dtype=index)[:, None]
     last = np.empty((block + 1, n), dtype=index)
     states = np.empty((block + 1, n), dtype=np.int8)  # excited at the start of each sweep
-    states[0] = excited
+    states[0] = start.astype(np.int8) ^ ground  # excited
     steps = np.empty((block, n), dtype=np.int64)
     path = np.empty(block * n, dtype=np.int64)
     attempts, done = 0, False
@@ -595,7 +579,7 @@ def _diagonal_sweeps(
         path_k = np.add.accumulate(steps[:k].ravel().take(visit_k.ravel()), out=path[: k * n])
         below = run_e - energy
         visits = k * n
-        if sweep_bests is None:
+        if not record:
             lowest = path_k.min()
         else:  # the running minimum at the end of each sweep
             ends = np.minimum.accumulate(path_k.reshape(k, n).min(axis=1))
@@ -617,8 +601,8 @@ def _diagonal_sweeps(
             bits = states[m].copy()
             head = order_k[m, : v + 1]
             bits[head] = states[m + 1, head]
-            run_bits = (bits ^ ground).tolist()
-        if sweep_bests is not None:
+            run_bits = bits ^ ground
+        if record:
             sweep_bests.extend((np.minimum(ends[: (visits - 1) // n], below) + energy).tolist())
             sweep_bests.append(run_e)
         states[0] = states[k]
@@ -626,7 +610,7 @@ def _diagonal_sweeps(
         attempts += visits
         if done:
             break
-    return run_e, run_bits, attempts, done
+    return run_e, _state_int(run_bits.tolist()), attempts, done
 
 
 def anneal_black_box(

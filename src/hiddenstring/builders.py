@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .model import BitVector, QuboModel, VarLabel
+from .model import BitVector, QuboModel, VarLabel, _as_count
 from .oracles import BvOracle, SimonOracle, _check_simon_width, _check_width
 
 __all__ = [
@@ -75,9 +75,12 @@ def build_bv_qubo_from_bits(a: BitVector) -> QuboModel:
     return QuboModel(labels, {lab: bias[bit] for lab, bit in zip(labels, a.bits)})
 
 
-def _check_j(j: int, n: int) -> None:
+def _check_j(j: int, n: int) -> int:
+    """``j`` as an int in 1..n, or a ValueError."""
+    j = _as_count("j", j)
     if not 1 <= j <= n:
         raise ValueError(f"j must be in 1..{n}, got {j}")
+    return j
 
 
 def inequality_penalty(j: int, n: int) -> QuboModel:

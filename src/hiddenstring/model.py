@@ -51,6 +51,16 @@ __all__ = [
 EXHAUSTIVE_CAP = 24
 
 
+def _as_count(name: str, value) -> int:
+    """``value`` as an int (numpy ints pass, bools do not), or a ValueError naming ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_exhaustive(n_vars: int) -> None:
     """Refuse to enumerate more than EXHAUSTIVE_CAP variables."""
     if n_vars > EXHAUSTIVE_CAP:
@@ -183,7 +193,7 @@ class VarLabel:
     index: int = 0
 
     def __post_init__(self):
-        if self.index < 0:
+        if _as_count("label index", self.index) < 0:
             raise ValueError("label index must be non-negative")
         if self.kind in (VarKind.GW, VarKind.GY) and self.index != 0:
             raise ValueError(f"{self.kind.value} labels carry no index")
@@ -263,9 +273,10 @@ def _parse_coefficient(text: str) -> Fraction:
 
 
 def _as_coefficient(value) -> Fraction:
-    if isinstance(value, float):
+    if isinstance(value, (float, bool)):
         raise TypeError(
-            f"coefficients must be exact (int, Fraction or string), got float {value!r}"
+            "coefficients must be exact (int, Fraction or string), "
+            f"got {type(value).__name__} {value!r}"
         )
     if type(value) is Fraction:
         return value  # immutable, so shared as it is

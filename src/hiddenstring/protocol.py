@@ -25,14 +25,13 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .annealer import (
-    AnnealSchedule, _as_count, _seeded_rng, _spawn_seed, anneal, anneal_black_box,
-    default_schedule,
+    AnnealSchedule, _seeded_rng, _spawn_seed, anneal, anneal_black_box, default_schedule,
 )
 from .builders import _check_j, build_bv_qubo, build_simon_literal_qubo, coupled_value
 # Not called here since the coupled search memoizes labels, but kept as an
 # attribute of this module: benchmarks/tracer.py wraps it by this name.
 from .builders import simon_coupled_energy  # noqa: F401
-from .model import BitVector, _check_exhaustive, _compile, exhaustive_solve
+from .model import BitVector, _as_count, _check_exhaustive, _compile, exhaustive_solve
 from .oracles import BvOracle, SimonOracle, _check_simon_width, _check_width, random_hidden_string
 
 __all__ = [
@@ -324,7 +323,7 @@ def solve_simon(
     if j_policy == "fixed":
         if j is None:
             raise ValueError("fixed j policy needs an explicit j")
-        _check_j(j, n)
+        j = _check_j(j, n)
     elif j is not None:
         raise ValueError("explicit j only makes sense with the fixed policy")
 
@@ -444,7 +443,8 @@ def bench_calls(
     if problem not in _PROBLEMS:
         raise ValueError(f"unknown problem {problem!r}")
     _check_sizes(problem, n_values, j_policy, j, solver)
-    if _as_count("trials", trials) < 1:
+    trials = _as_count("trials", trials)
+    if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if problem == "simon" and solver != "anneal":
         raise ValueError(f"solver {solver!r} applies only to problem 'bv'")

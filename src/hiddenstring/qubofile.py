@@ -204,5 +204,5 @@ def model_from_dict(data: dict) -> QuboModel:
     quadratic = {(lookup(a), lookup(b)): v for a, b, v in data.get("quadratic", [])}
     try:
         return QuboModel(labels, linear, quadratic)
-    except TypeError as exc:  # a float, null, list or object coefficient
+    except TypeError as exc:  # a float, bool, null, list or object coefficient
         raise ValueError(f"bad coefficient: {exc}") from None

@@ -60,7 +60,8 @@ class TestAnnealSchedule:
             AnnealSchedule(sweeps=5, t_initial=0.5, t_final=1.0)
         # A size that is not an integer used to construct, then fail in anneal
         # with a bare TypeError.
-        for field, value in [("sweeps", 2.5), ("restarts", 1.5), ("sweeps", "5"), ("restarts", None)]:
+        for field, value in [("sweeps", 2.5), ("restarts", 1.5), ("sweeps", "5"), ("restarts", None),
+                             ("sweeps", True)]:
             with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
                 AnnealSchedule(**{"sweeps": 5, "t_initial": 1.0, "t_final": 0.1, field: value})
         sched = AnnealSchedule(sweeps=np.int64(5), t_initial=1.0, t_final=0.1, restarts=np.int32(2))

@@ -197,6 +197,8 @@ class TestCoupledEnergy:
             simon_coupled_energy(oracle, w, BitVector.from_integer(1, 3), 1)
         with pytest.raises(ValueError):
             simon_coupled_energy(oracle, w, w, 0)
+        with pytest.raises(ValueError, match="j must be an integer"):
+            simon_coupled_energy(oracle, w, w, True)
 
 
 def _pen(wj, yj):

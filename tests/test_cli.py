@@ -436,6 +436,8 @@ class TestExportImport:
     @pytest.mark.parametrize("text", [
         '{"kind": "qubo", "labels": ["x0"], "linear": {"x0": 1e400}}',
         '{"kind": "qubo", "labels": ["x0"], "linear": {"x0": 0.1}}',
+        '{"kind": "qubo", "labels": ["x0"], "linear": {"x0": true}}',
+        '{"kind": "qubo", "labels": ["x0", "x1"], "quadratic": [["x0", "x1", false]]}',
         "[1]",
         '{"kind": "qubo"}',
     ])

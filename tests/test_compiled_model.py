@@ -275,13 +275,25 @@ def test_batch_size_does_not_change_the_anneal(name, visits, above_ground):
 
 
 def test_a_batch_past_int16_anneals_as_the_sequential_loop():
-    # One batch of 33 000 sweeps: rejection sweeps past 32 766 do not fit
-    # in int16, so the kernel must hold them wider. The schedule stays hot
-    # so long that seed 2 first reaches the ground after sweep 32 767,
-    # where a wrapped sweep index would show.
-    sched = AnnealSchedule(sweeps=33_000, t_initial=1e9, t_final=0.7)
-    batched, sequential = batched_and_sequential(coupler_free([1] * 30), sched, 10**6, seed=2)
-    assert sequential.trajectory.index(0.0) > 32_767
+    # Blocks of up to 33 000 sweeps over 30 variables: the first four hold
+    # 4 125, 8 250, 16 500 and 33 000 sweeps, so the fourth is drawn at full
+    # size, and rejection sweeps past 32 766 in it do not fit in int16; the
+    # kernel must hold them wider. The schedule stays hot so long that seed
+    # 0 first reaches the ground after sweep 32 767 of that block, where a
+    # wrapped sweep index would show.
+    sched = AnnealSchedule(sweeps=61_875, t_initial=1e9, t_final=0.9)
+    sizes, draws = [], annealer._sweep_draws
+
+    def counted(*args):
+        for block in draws(*args):
+            sizes.append(len(block[1]))
+            yield block
+
+    with mock.patch.object(annealer, "_sweep_draws", counted):
+        batched, sequential = batched_and_sequential(
+            coupler_free([1] * 30), sched, 33_000 * 30, seed=0)
+    assert max(sizes) > 32_766
+    assert sequential.trajectory.index(0.0) > 28_875 + 32_767
     assert batched == sequential
 
 

@@ -215,6 +215,12 @@ class TestVarLabel:
         with pytest.raises(ValueError, match="non-negative"):
             VarLabel.w(-1)
 
+    @pytest.mark.parametrize("index", [2.5, True])
+    def test_rejects_an_index_that_is_not_an_integer(self, index):
+        # These printed as w2.5 and wTrue, which parse cannot read back.
+        with pytest.raises(ValueError, match="label index must be an integer"):
+            VarLabel(VarKind.W, index)
+
     def test_gw_carries_no_index(self):
         with pytest.raises(ValueError):
             VarLabel(VarKind.GW, 1)

@@ -300,6 +300,10 @@ class TestSolveSimon:
             for j in (0, oracle.n + 1):
                 with pytest.raises(ValueError, match="j must be in"):
                     solve_simon(oracle, mode=mode, j_policy="fixed", j=j)
+            # True ran as j = 1 and 1.5 died in a shift, both after checking.
+            for j in (True, 1.5):
+                with pytest.raises(ValueError, match="j must be an integer"):
+                    solve_simon(oracle, mode=mode, j_policy="fixed", j=j)
         assert oracle.queries == 0
 
 
@@ -366,6 +370,12 @@ class TestBenchCalls:
             bench_calls("bv", [4], trials=0)
         with pytest.raises(ValueError, match="trials must be an integer"):
             bench_calls("bv", [4], trials=2.5)
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            bench_calls("bv", [4], trials=True)
+        # A numpy count is stored as the int it stands for, so the row stays JSON.
+        (row,) = bench_calls("bv", [4], trials=np.int64(1))
+        assert type(row["trials"]) is int
+        json.dumps(row)
 
     @pytest.mark.parametrize("problem", ["bv", "simon"])
     def test_rejects_an_empty_size_list_before_any_trial(self, problem):

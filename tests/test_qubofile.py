@@ -194,7 +194,8 @@ class TestModelDict:
 
     def test_rejects_malformed_values(self):
         # json.loads reads 1e400 as float inf; a float is refused, not rounded.
-        for value in ("pi", "1/0", "1e20000000", "-1E-20000000", json.loads("1e400"), 0.1):
+        for value in ("pi", "1/0", "1e20000000", "-1E-20000000", json.loads("1e400"), 0.1,
+                      True, False):
             for data in ({"linear": {"x0": value}}, {"quadratic": [["x0", "x1", value]]}):
                 with pytest.raises(ValueError):
                     model_from_dict({"kind": "qubo", "labels": ["x0", "x1"], **data})
