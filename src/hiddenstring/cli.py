@@ -9,7 +9,9 @@ each flag's literal form, the CLI checks only which flags a command needs
 and the pairs of flags that must agree, and the library checks every
 range (n, ``--a``, ``--j``, ``--budget``, the schedule, ``--trials``,
 the exhaustive cap) before its first oracle query; its ``ValueError`` exits 2. A command
-ignores the flags it does not read, whatever their value.
+ignores the flags it does not read, whatever their value. Each of ``--sweeps``,
+``--restarts``, ``--t0`` and ``--t1`` replaces only its own field of the solve's
+default schedule at that n.
 
 Flags can come from a JSON object in a ``--config`` file. Each key is read
 exactly as the flag it names, with the same forms and checks: a list is a
@@ -24,6 +26,7 @@ a fixed config and seed produce byte-identical output except for the
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -36,8 +39,8 @@ from .builders import build_bv_qubo_from_bits, build_simon_literal_qubo
 from .model import BitVector, QuboModel, exhaustive_solve
 from .oracles import BvOracle, SimonOracle, random_hidden_string
 from .protocol import (
-    _J_POLICIES, _MODES, _PROBLEMS, _SCHEMA_VERSION, _SOLVERS, _check_sizes, bench_calls,
-    solve_bv, solve_simon,
+    _J_POLICIES, _MODES, _PROBLEMS, _SCHEMA_VERSION, _SOLVERS, _check_sizes, _default_schedule,
+    bench_calls, solve_bv, solve_simon,
 )
 from .qubofile import export_qubo, import_qubo, model_from_dict, model_to_dict
 
@@ -176,16 +179,14 @@ def _n_list(args: argparse.Namespace) -> list[int]:
     return args.n if isinstance(args.n, list) else [args.n]
 
 
-def _schedule(args: argparse.Namespace, n_vars: int) -> AnnealSchedule | None:
-    """Schedule from the override flags, or None to use solver defaults."""
-    if args.sweeps is None and args.restarts is None and args.t0 is None:
+def _schedule(args: argparse.Namespace, n: int) -> AnnealSchedule | None:
+    """The solve's default schedule at n with each given flag's field replaced, or None."""
+    flags = {"sweeps": args.sweeps, "restarts": args.restarts,
+             "t_initial": args.t0, "t_final": args.t1}
+    given = {name: value for name, value in flags.items() if value is not None}
+    if not given:
         return None
-    return AnnealSchedule(
-        sweeps=args.sweeps if args.sweeps is not None else 100 * n_vars,
-        t_initial=args.t0 if args.t0 is not None else 6.0,
-        t_final=args.t1 if args.t1 is not None else 0.01,
-        restarts=args.restarts if args.restarts is not None else 1,
-    )
+    return dataclasses.replace(_default_schedule(args.problem, args.mode, n), **given)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -224,13 +225,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _n_vars(args: argparse.Namespace, n: int) -> int:
-    """Variables the solver anneals at size n; schedule overrides are sized to it."""
-    if args.problem == "bv":
-        return n
-    return 2 * n + 2 if args.mode == "literal" else 2 * n
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     n = _n_list(args)[0]
     a = _hidden_bits(args, n)
@@ -238,7 +232,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         report = solve_bv(
             BvOracle(a),
             solver=args.solver,
-            schedule=_schedule(args, _n_vars(args, n)),
+            schedule=_schedule(args, n),
             seed=args.seed,
             blind=args.blind,
         )
@@ -250,7 +244,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             j_policy=args.j_policy,
             j=args.j,
             budget=args.budget,
-            schedule=_schedule(args, _n_vars(args, n)),
+            schedule=_schedule(args, n),
             seed=args.seed,
             blind=args.blind,
         )
@@ -262,10 +256,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    # One table per n, so a schedule override is sized to that n; rows are
-    # seeded per (seed, n, trial) and do not depend on the other sizes. Every
-    # size is checked first: before an override is sized to it, and before
-    # the trials of the sizes ahead of it run.
+    # One table per n, so a schedule override fills its unnamed fields from
+    # that n's default; rows are seeded per (seed, n, trial) and do not depend
+    # on the other sizes. Every size is checked first: before its default
+    # schedule is built, and before the trials of the sizes ahead of it run.
     _check_sizes(args.problem, _n_list(args), args.j_policy, args.j, args.solver)
     rows = [
         row
@@ -280,7 +274,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             j_policy=args.j_policy,
             j=args.j,
             budget=args.budget,
-            schedule=_schedule(args, _n_vars(args, n)),
+            schedule=_schedule(args, n),
         )
     ]
     payload = {
@@ -355,7 +349,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             try:
                 config = _config_tokens(args.config, args.command)
                 args = parser.parse_args([argv[0], *config, *argv[1:]])
-            except (SystemExit, ValueError):
+            except (SystemExit, ValueError, OSError):
                 print(f"error: in --config {args.config}", file=sys.stderr)
                 raise
         _validate(args)

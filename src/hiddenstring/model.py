@@ -230,11 +230,12 @@ class VarLabel:
             return self.kind.value
         return f"{self.kind.value}{self.index}"
 
-    _PARSE_RE = re.compile(r"^(w|y|x)(\d+)$|^(gw|gy)$")
+    # Canonical indices only, so str(parse(text)) == text for every text parsed.
+    _PARSE_RE = re.compile(r"(w|y|x)(0|[1-9][0-9]*)|(gw|gy)")
 
     @classmethod
     def parse(cls, text: str) -> "VarLabel":
-        m = cls._PARSE_RE.match(text)
+        m = cls._PARSE_RE.fullmatch(text)
         if m is None:
             raise ValueError(f"unrecognized variable label {text!r}")
         if m.group(3) is not None:

@@ -27,7 +27,9 @@ from typing import Any, Sequence
 from .annealer import (
     AnnealSchedule, _seeded_rng, _spawn_seed, anneal, anneal_black_box, default_schedule,
 )
-from .builders import _check_j, build_bv_qubo, build_simon_literal_qubo, coupled_value
+from .builders import (
+    _check_j, build_bv_qubo, build_bv_qubo_from_bits, build_simon_literal_qubo, coupled_value,
+)
 # Not called here since the coupled search memoizes labels, but kept as an
 # attribute of this module: benchmarks/tracer.py wraps it by this name.
 from .builders import simon_coupled_energy  # noqa: F401
@@ -148,6 +150,20 @@ def _model_floor(model) -> Fraction:
     return Fraction(total, den)
 
 
+def _default_schedule(problem: str, mode: str, n: int) -> AnnealSchedule:
+    """The schedule a solve at width n runs when it is given none."""
+    if problem == "bv":
+        # default_schedule of the parity model, the same for every hidden string.
+        return default_schedule(build_bv_qubo_from_bits(BitVector.from_integer(0, n)))
+    if mode == "coupled":
+        # One hardware call per invocation; the ceiling 6.0 is the largest
+        # single-flip move (mismatch step 1 plus constraint step 5).
+        return AnnealSchedule(sweeps=48 * n, t_initial=6.0, t_final=0.01, restarts=1)
+    # Short cold-ish run: the four constrained variables settle in a few
+    # sweeps and the unconstrained ones stay uniform.
+    return AnnealSchedule(sweeps=40, t_initial=5.0, t_final=0.01, restarts=1)
+
+
 def solve_bv(
     oracle: BvOracle,
     *,
@@ -232,12 +248,6 @@ def solve_bv(
     )
 
 
-def _coupled_schedule(n: int) -> AnnealSchedule:
-    # One hardware call per invocation; the ceiling 6.0 is the largest
-    # single-flip move (mismatch step 1 plus constraint step 5).
-    return AnnealSchedule(sweeps=48 * n, t_initial=6.0, t_final=0.01, restarts=1)
-
-
 def _coupled_objective(oracle: SimonOracle, j: int):
     """Energy callback of one coupled solver call, over the 2n-bit state.
 
@@ -275,12 +285,6 @@ def _coupled_objective(oracle: SimonOracle, j: int):
         return (gw != gy) + penalty[v & sel]
 
     return energy
-
-
-def _literal_schedule(n: int) -> AnnealSchedule:
-    # Short cold-ish run: the four constrained variables settle in a few
-    # sweeps and the unconstrained ones stay uniform.
-    return AnnealSchedule(sweeps=40, t_initial=5.0, t_final=0.01, restarts=1)
 
 
 def solve_simon(
@@ -332,7 +336,7 @@ def solve_simon(
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
     if schedule is None:
-        schedule = _coupled_schedule(n) if mode == "coupled" else _literal_schedule(n)
+        schedule = _default_schedule("simon", mode, n)
     q0 = oracle.queries
 
     trace: list[dict] = []

@@ -180,7 +180,8 @@ def model_from_dict(data: dict) -> QuboModel:
     """Inverse of :func:`model_to_dict`.
 
     Raises ValueError on a document that is not an object of kind
-    ``"qubo"`` with ``labels``, and on a coefficient that
+    ``"qubo"`` with a ``labels`` list, on a ``linear`` that is not an object
+    or a ``quadratic`` that is not a list, and on a coefficient that
     :class:`QuboModel` refuses: text that is not an exact number, a float
     (a JSON number with a fraction or an exponent), or a value that is not
     a number.
@@ -191,6 +192,8 @@ def model_from_dict(data: dict) -> QuboModel:
         raise ValueError(f"expected a dict with kind 'qubo', got {data.get('kind')!r}")
     if "labels" not in data:
         raise ValueError("the model has no 'labels'")
+    if not isinstance(data["labels"], list):
+        raise ValueError(f"'labels' must be a list, got {type(data['labels']).__name__}")
     labels = tuple(VarLabel.parse(text) for text in data["labels"])
     by_name = {str(lab): lab for lab in labels}
 
@@ -200,8 +203,13 @@ def model_from_dict(data: dict) -> QuboModel:
         except KeyError:
             raise ValueError(f"coefficient on undeclared label {name!r}") from None
 
-    linear = {lookup(k): v for k, v in data.get("linear", {}).items()}
-    quadratic = {(lookup(a), lookup(b)): v for a, b, v in data.get("quadratic", [])}
+    linear, quadratic = data.get("linear", {}), data.get("quadratic", [])
+    if not isinstance(linear, dict):
+        raise ValueError(f"'linear' must be an object, got {type(linear).__name__}")
+    if not isinstance(quadratic, list):
+        raise ValueError(f"'quadratic' must be a list, got {type(quadratic).__name__}")
+    linear = {lookup(k): v for k, v in linear.items()}
+    quadratic = {(lookup(a), lookup(b)): v for a, b, v in quadratic}
     try:
         return QuboModel(labels, linear, quadratic)
     except TypeError as exc:  # a float, bool, null, list or object coefficient

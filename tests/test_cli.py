@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from hiddenstring import cli
+from hiddenstring.annealer import AnnealSchedule
 from hiddenstring.builders import build_bv_qubo_from_bits, build_simon_literal_qubo
 from hiddenstring.cli import _build_parser, _config_flags, main
 from hiddenstring.model import BitVector
-from hiddenstring.protocol import _SCHEMA_VERSION
+from hiddenstring.protocol import _SCHEMA_VERSION, _default_schedule
 from hiddenstring.qubofile import export_qubo, model_to_dict
 
 
@@ -115,6 +117,28 @@ class TestSolve:
         assert code == 1
         assert json.loads(out)["success"] is False
         assert "failed" in err
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            (("--problem", "bv", "--sweeps", "50"), AnnealSchedule(50, 1.0, 0.01, 8)),
+            (("--problem", "simon", "--restarts", "3"), AnnealSchedule(384, 6.0, 0.01, 3)),
+            (("--problem", "simon", "--mode", "literal", "--t0", "2", "--t1", "0.5"),
+             AnnealSchedule(40, 2.0, 0.5, 1)),
+        ],
+        ids=["bv-sweeps", "coupled-restarts", "literal-temperatures"],
+    )
+    def test_a_schedule_flag_replaces_only_its_field(self, capsys, monkeypatch, flags,
+                                                     expected):
+        seen = []
+        for name in ("solve_bv", "solve_simon"):
+            def spy(oracle, *, schedule, solve=getattr(cli, name), **options):
+                seen.append(schedule)
+                return solve(oracle, schedule=schedule, **options)
+            monkeypatch.setattr(cli, name, spy)
+        code, _, _ = run(capsys, "solve", *flags, "--n", "8", "--budget", "1")
+        assert code in (0, 1)
+        assert seen == [expected]
 
     def test_deterministic_apart_from_wall_time(self, capsys, tmp_path):
         argv = [
@@ -291,22 +315,27 @@ class TestBench:
         "flags, sweeps",
         [
             (("--problem", "bv"), [400, 800]),
-            (("--problem", "simon"), [800, 1600]),
-            (("--problem", "simon", "--mode", "literal"), [1000, 1800]),
+            (("--problem", "simon"), [192, 384]),
+            (("--problem", "simon", "--mode", "literal"), [40, 40]),
         ],
     )
     def test_schedule_override_sized_per_n(self, capsys, monkeypatch, flags, sweeps):
-        # --restarts alone sizes sweeps to 100 x the variables of each n.
+        # --restarts replaces only restarts: every other field is the solve's
+        # default at each n.
         seen = []
 
         def fake_bench_calls(problem, n_values, trials, **options):
-            seen.append(options["schedule"].sweeps)
+            default = _default_schedule(problem, options["mode"], n_values[0])
+            seen.append((options["schedule"], default))
             return []
 
         monkeypatch.setattr("hiddenstring.cli.bench_calls", fake_bench_calls)
         code, _, _ = run(capsys, "bench", *flags, "--n", "4,8", "--restarts", "3")
         assert code == 0
-        assert seen == sweeps
+        assert [schedule.sweeps for schedule, _ in seen] == sweeps
+        for schedule, default in seen:
+            assert schedule.restarts == 3
+            assert (schedule.t_initial, schedule.t_final) == (default.t_initial, default.t_final)
 
 
 class TestSpectrum:
@@ -438,6 +467,9 @@ class TestExportImport:
         '{"kind": "qubo", "labels": ["x0"], "linear": {"x0": 0.1}}',
         '{"kind": "qubo", "labels": ["x0"], "linear": {"x0": true}}',
         '{"kind": "qubo", "labels": ["x0", "x1"], "quadratic": [["x0", "x1", false]]}',
+        '{"kind": "qubo", "labels": ["x0"], "linear": [1]}',
+        '{"kind": "qubo", "labels": ["x0"], "linear": "x"}',
+        '{"kind": "qubo", "labels": ["x0", "x1"], "quadratic": {"x0x1": 1}}',
         "[1]",
         '{"kind": "qubo"}',
     ])
@@ -539,6 +571,14 @@ class TestConfigFile:
         assert code == 2 and out == ""
         assert f"error: in --config {config}\n" in err
         assert "--config file must hold a JSON object" in err
+
+    @pytest.mark.parametrize("name", ["missing.json", "."])
+    def test_unreadable_file_is_named(self, capsys, tmp_path, name):
+        # A missing path, and a directory.
+        config = str(tmp_path / name)
+        code, out, err = run(capsys, "solve", "--config", config)
+        assert code == 2 and out == ""
+        assert f"error: in --config {config}\n" in err
 
     def test_flag_clears_a_config_bool(self, capsys, tmp_path):
         config = write_config(tmp_path, {"problem": "bv", "n": 4, "a": 7, "blind": True})

@@ -207,7 +207,9 @@ class TestVarLabel:
         assert VarLabel.parse(text) == label
 
     def test_parse_rejects_garbage(self):
-        for bad in ("w", "z3", "gw1", "w-1", ""):
+        # A leading zero, a trailing newline or a non-ASCII digit would
+        # parse to a label that prints as other text.
+        for bad in ("w", "z3", "gw1", "w-1", "", "w01", "x007", "y00", "x1\n", "x\u0661"):
             with pytest.raises(ValueError):
                 VarLabel.parse(bad)
 

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hiddenstring import protocol
-from hiddenstring.annealer import AnnealSchedule
-from hiddenstring.builders import simon_coupled_energy
+from hiddenstring.annealer import AnnealSchedule, default_schedule
+from hiddenstring.builders import build_bv_qubo, simon_coupled_energy
 from hiddenstring.model import BitVector
 from hiddenstring.oracles import BvOracle, SimonOracle, random_hidden_string
 from hiddenstring.protocol import (
@@ -305,6 +305,43 @@ class TestSolveSimon:
                 with pytest.raises(ValueError, match="j must be an integer"):
                     solve_simon(oracle, mode=mode, j_policy="fixed", j=j)
         assert oracle.queries == 0
+
+
+class TestDefaultSchedule:
+    """``_default_schedule`` is the schedule each solve runs when given none."""
+
+    @pytest.mark.parametrize("n", [1, 4, 16, 64])
+    def test_bv_is_the_parity_models_default(self, n):
+        rng = np.random.default_rng(n)
+        strings = [0, (1 << n) - 1, *(random_hidden_string(n, rng).to_integer() for _ in range(4))]
+        for a in strings:
+            model = build_bv_qubo(BvOracle(BitVector.from_integer(a, n)))
+            for mode in ("coupled", "literal"):
+                assert protocol._default_schedule("bv", mode, n) == default_schedule(model)
+        assert protocol._default_schedule("bv", "coupled", n) == AnnealSchedule(
+            sweeps=100 * n, t_initial=1.0, t_final=0.01, restarts=8
+        )
+
+    @pytest.mark.parametrize(
+        "mode, solver, expected",
+        [
+            ("coupled", "anneal_black_box", AnnealSchedule(48 * 5, 6.0, 0.01, 1)),
+            ("literal", "anneal", AnnealSchedule(40, 5.0, 0.01, 1)),
+        ],
+    )
+    def test_simon_solve_runs_it(self, monkeypatch, mode, solver, expected):
+        seen = []
+        real = getattr(protocol, solver)
+
+        def spy(objective, *args, **options):
+            seen.append(args[-1])  # both solvers take the schedule last by position
+            return real(objective, *args, **options)
+
+        monkeypatch.setattr(protocol, solver, spy)
+        oracle = SimonOracle(BitVector.from_integer(0b10110, 5), seed=4)
+        report = solve_simon(oracle, mode=mode, budget=6, seed=1)
+        assert len(seen) == report.diagnostics["calls"] >= 1
+        assert set(seen) == {protocol._default_schedule("simon", mode, 5)} == {expected}
 
 
 class TestExperimentReport:

@@ -199,6 +199,19 @@ class TestModelDict:
             for data in ({"linear": {"x0": value}}, {"quadratic": [["x0", "x1", value]]}):
                 with pytest.raises(ValueError):
                     model_from_dict({"kind": "qubo", "labels": ["x0", "x1"], **data})
+        # A field of the wrong type died in .items(), or had a string's
+        # characters read as labels; the error names the field.
+        for field, value in (("linear", [1]), ("linear", "x"), ("quadratic", {"x0x1": 1}),
+                             ("labels", "x0x1")):
+            with pytest.raises(ValueError, match=f"'{field}' must be"):
+                model_from_dict({"kind": "qubo", "labels": ["x0", "x1"], field: value})
+
+    def test_labels_match_only_their_own_text(self):
+        # "x01" once parsed as x1, so the document accepted a coefficient on
+        # the undeclared "x1" and refused one on the declared "x01".
+        for text in ("x01", "x1"):
+            with pytest.raises(ValueError):
+                model_from_dict({"kind": "qubo", "labels": ["x01"], "linear": {text: 1}})
 
     def test_rejects_undeclared_labels(self):
         with pytest.raises(ValueError):
