@@ -66,6 +66,7 @@ from .model import (  # noqa: F401
     _compile,
     _fits_int64,
     _scaled_energy_table,
+    _seeded_rng,
     qubo_energy,
 )
 
@@ -167,22 +168,6 @@ def default_schedule(model: QuboModel) -> AnnealSchedule:
         strength[j] += abs(c)
     t0 = max(1.0, max(strength) / den)
     return AnnealSchedule(sweeps=100 * n, t_initial=t0, t_final=0.01, restarts=8)
-
-
-def _seeded_rng(*path: int) -> np.random.Generator:
-    """PCG64 generator seeded from a path of integers, e.g. ``(seed, restart)``.
-
-    Every seeded stream in the package (an annealer restart's order stream
-    ``(seed, r)`` and uniform stream ``(seed, r, 1)``, protocol probes, CLI
-    hidden strings) is derived here, and every child seed (solver calls,
-    oracle label tables) by :func:`_spawn_seed`.
-    """
-    return np.random.default_rng(np.random.SeedSequence(path))
-
-
-def _spawn_seed(path: tuple[int, ...]) -> int:
-    """Deterministic 63-bit child seed from a path of integers."""
-    return int(np.random.SeedSequence(path).generate_state(1, np.uint64)[0] >> 1)
 
 
 def _sweeps_per_block(n: int, sweeps: int) -> int:

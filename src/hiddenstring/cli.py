@@ -6,7 +6,7 @@ status is 0 on success, 1 when a solve finishes but fails (report says
 
 A flag's value is checked by the code that reads it: the parser checks
 each flag's literal form, the CLI checks only which flags a command needs
-and the pairs of flags that must agree, and the library checks every
+and that ``--solver`` agrees with ``--problem``, and the library checks every
 range (n, ``--a``, ``--j``, ``--budget``, the schedule, ``--trials``,
 the exhaustive cap) before its first oracle query; its ``ValueError`` exits 2. A command
 ignores the flags it does not read, whatever their value. Each of ``--sweeps``,
@@ -34,9 +34,9 @@ import sys
 from pathlib import Path
 from typing import Any, Sequence
 
-from .annealer import AnnealSchedule, _seeded_rng, _spawn_seed
+from .annealer import AnnealSchedule
 from .builders import build_bv_qubo_from_bits, build_simon_literal_qubo
-from .model import BitVector, QuboModel, exhaustive_solve
+from .model import BitVector, QuboModel, _seeded_rng, _spawn_seed, exhaustive_solve
 from .oracles import BvOracle, SimonOracle, random_hidden_string
 from .protocol import (
     _J_POLICIES, _MODES, _PROBLEMS, _SCHEMA_VERSION, _SOLVERS, _check_sizes, _default_schedule,
@@ -158,7 +158,7 @@ def _config_tokens(path: str, command: str) -> list[str]:
 
 
 def _validate(args: argparse.Namespace) -> None:
-    """Check what no single flag's parser can: which flags a command needs, and pairs."""
+    """Check what no single flag's parser can: needed flags, and --solver against --problem."""
     needs_problem = args.command in ("build", "solve", "bench") or (
         args.command == "spectrum" and not args.infile
     )
@@ -171,8 +171,6 @@ def _validate(args: argparse.Namespace) -> None:
         raise ValueError("only bench accepts a list of n values")
     if args.command in ("solve", "bench") and args.problem == "simon" and args.solver != "anneal":
         raise ValueError(f"--solver {args.solver} applies only to --problem bv")
-    if (args.t0 is None) != (args.t1 is None):
-        raise ValueError("--t0 and --t1 must be given together")
 
 
 def _n_list(args: argparse.Namespace) -> list[int]:

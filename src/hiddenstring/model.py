@@ -61,6 +61,23 @@ def _as_count(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _seeded_rng(*path: int) -> np.random.Generator:
+    """PCG64 generator seeded from a path of integers, e.g. ``(seed, restart)``.
+
+    Every seeded stream in the package (an annealer restart's order stream
+    ``(seed, r)`` and uniform stream ``(seed, r, 1)``, protocol probes, CLI
+    hidden strings, a Simon oracle's label bijection ``(seed,)``) is
+    derived here, and every child seed (solver calls, oracle seeds) by
+    :func:`_spawn_seed`.
+    """
+    return np.random.default_rng(np.random.SeedSequence(path))
+
+
+def _spawn_seed(path: tuple[int, ...]) -> int:
+    """Deterministic 63-bit child seed from a path of integers."""
+    return int(np.random.SeedSequence(path).generate_state(1, np.uint64)[0] >> 1)
+
+
 def _check_exhaustive(n_vars: int) -> None:
     """Refuse to enumerate more than EXHAUSTIVE_CAP variables."""
     if n_vars > EXHAUSTIVE_CAP:

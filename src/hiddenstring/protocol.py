@@ -24,16 +24,16 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .annealer import (
-    AnnealSchedule, _seeded_rng, _spawn_seed, anneal, anneal_black_box, default_schedule,
-)
+from .annealer import AnnealSchedule, anneal, anneal_black_box, default_schedule
 from .builders import (
     _check_j, build_bv_qubo, build_bv_qubo_from_bits, build_simon_literal_qubo, coupled_value,
 )
 # Not called here since the coupled search memoizes labels, but kept as an
 # attribute of this module: benchmarks/tracer.py wraps it by this name.
 from .builders import simon_coupled_energy  # noqa: F401
-from .model import BitVector, _as_count, _check_exhaustive, _compile, exhaustive_solve
+from .model import (
+    BitVector, _as_count, _check_exhaustive, _compile, _seeded_rng, _spawn_seed, exhaustive_solve,
+)
 from .oracles import BvOracle, SimonOracle, _check_simon_width, _check_width, random_hidden_string
 
 __all__ = [

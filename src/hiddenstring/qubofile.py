@@ -180,8 +180,9 @@ def model_from_dict(data: dict) -> QuboModel:
     """Inverse of :func:`model_to_dict`.
 
     Raises ValueError on a document that is not an object of kind
-    ``"qubo"`` with a ``labels`` list, on a ``linear`` that is not an object
-    or a ``quadratic`` that is not a list, and on a coefficient that
+    ``"qubo"`` with a ``labels`` list of strings, on a ``linear`` that is not
+    an object or a ``quadratic`` that is not a list of three-item lists, on
+    an undeclared label, and on a coefficient that
     :class:`QuboModel` refuses: text that is not an exact number, a float
     (a JSON number with a fraction or an exponent), or a value that is not
     a number.
@@ -194,13 +195,16 @@ def model_from_dict(data: dict) -> QuboModel:
         raise ValueError("the model has no 'labels'")
     if not isinstance(data["labels"], list):
         raise ValueError(f"'labels' must be a list, got {type(data['labels']).__name__}")
+    for text in data["labels"]:
+        if not isinstance(text, str):
+            raise ValueError(f"'labels' must be a list of strings, got the label {text!r}")
     labels = tuple(VarLabel.parse(text) for text in data["labels"])
     by_name = {str(lab): lab for lab in labels}
 
     def lookup(name: str) -> VarLabel:
         try:
             return by_name[name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: a list or object is no label
             raise ValueError(f"coefficient on undeclared label {name!r}") from None
 
     linear, quadratic = data.get("linear", {}), data.get("quadratic", [])
@@ -208,6 +212,9 @@ def model_from_dict(data: dict) -> QuboModel:
         raise ValueError(f"'linear' must be an object, got {type(linear).__name__}")
     if not isinstance(quadratic, list):
         raise ValueError(f"'quadratic' must be a list, got {type(quadratic).__name__}")
+    for entry in quadratic:
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise ValueError(f"'quadratic' must be a list of three-item lists, got {entry!r}")
     linear = {lookup(k): v for k, v in linear.items()}
     quadratic = {(lookup(a), lookup(b)): v for a, b, v in quadratic}
     try:

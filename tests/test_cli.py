@@ -125,8 +125,9 @@ class TestSolve:
             (("--problem", "simon", "--restarts", "3"), AnnealSchedule(384, 6.0, 0.01, 3)),
             (("--problem", "simon", "--mode", "literal", "--t0", "2", "--t1", "0.5"),
              AnnealSchedule(40, 2.0, 0.5, 1)),
+            (("--problem", "bv", "--t0", "2.0"), AnnealSchedule(800, 2.0, 0.01, 8)),
         ],
-        ids=["bv-sweeps", "coupled-restarts", "literal-temperatures"],
+        ids=["bv-sweeps", "coupled-restarts", "literal-temperatures", "bv-t0"],
     )
     def test_a_schedule_flag_replaces_only_its_field(self, capsys, monkeypatch, flags,
                                                      expected):
@@ -200,6 +201,8 @@ class TestValidation:
             ("solve --problem simon --n 4 --restarts 0", "restarts must be positive, got 0"),
             ("bench --problem bv --n 4 --trials 0", "trials must be positive, got 0"),
             ("solve --problem bv --n 4 --t0 1 --t1 2", "t_initial=1.0, t_final=2.0"),
+            # --t0 alone keeps the default t_final, which the schedule checks it against.
+            ("solve --problem bv --n 4 --a 1 --t0 0.005", "t_initial=0.005, t_final=0.01"),
             ("solve --problem bv --n 8 --a 5 --t0 inf --t1 0.01 --sweeps 5",
              "temperatures must be finite, got t_initial=inf"),
             ("solve --problem simon --n 4 --t0 nan --t1 0.01", "finite, got t_initial=nan"),
@@ -243,13 +246,6 @@ class TestValidation:
         assert code == 2 and out == ""
         assert named in err
         assert trials == []
-
-    def test_unpaired_temperatures(self, capsys):
-        code, _, err = run(
-            capsys, "solve", "--problem", "bv", "--n", "4", "--a", "1", "--t0", "2.0"
-        )
-        assert code == 2
-        assert "--t1" in err
 
     def test_n_list_only_for_bench(self, capsys):
         assert run(capsys, "solve", "--problem", "bv", "--n", "4,6", "--a", "1")[0] == 2
@@ -470,6 +466,10 @@ class TestExportImport:
         '{"kind": "qubo", "labels": ["x0"], "linear": [1]}',
         '{"kind": "qubo", "labels": ["x0"], "linear": "x"}',
         '{"kind": "qubo", "labels": ["x0", "x1"], "quadratic": {"x0x1": 1}}',
+        '{"kind": "qubo", "labels": [1]}',
+        '{"kind": "qubo", "labels": ["x0", "x1"], "quadratic": [["x0", "x1"]]}',
+        '{"kind": "qubo", "labels": ["x0", "x1"], "quadratic": [5]}',
+        '{"kind": "qubo", "labels": ["x0", "x1"], "quadratic": [["x0", "x1", 1, 2]]}',
         "[1]",
         '{"kind": "qubo"}',
     ])

@@ -200,11 +200,18 @@ class TestModelDict:
                 with pytest.raises(ValueError):
                     model_from_dict({"kind": "qubo", "labels": ["x0", "x1"], **data})
         # A field of the wrong type died in .items(), or had a string's
-        # characters read as labels; the error names the field.
+        # characters read as labels; a label that is not a string died in the
+        # regex, and a quadratic entry that is not three items in unpacking.
+        # The error names the field.
         for field, value in (("linear", [1]), ("linear", "x"), ("quadratic", {"x0x1": 1}),
-                             ("labels", "x0x1")):
+                             ("labels", "x0x1"), ("labels", [1]), ("quadratic", [["x0", "x1"]]),
+                             ("quadratic", [5]), ("quadratic", [["x0", "x1", 1, 2]])):
             with pytest.raises(ValueError, match=f"'{field}' must be"):
                 model_from_dict({"kind": "qubo", "labels": ["x0", "x1"], field: value})
+        # A list as a label is no declared label.
+        with pytest.raises(ValueError, match="undeclared label"):
+            model_from_dict({"kind": "qubo", "labels": ["x0", "x1"],
+                             "quadratic": [[["x0"], "x1", 1]]})
 
     def test_labels_match_only_their_own_text(self):
         # "x01" once parsed as x1, so the document accepted a coefficient on
