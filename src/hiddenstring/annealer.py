@@ -28,10 +28,13 @@ exact ints over a common denominator and binds one of three kernels with
 flipped with an xor) or :func:`_field_sweeps` (each variable's local field
 kept). :func:`anneal_black_box`, the oracle-coupled search whose objective
 exists only behind oracle queries, runs :func:`_int_sweeps` with its
-callback, which receives the bare state int, in place of the table.
-Energies are compared exactly, as ints or the callback's own values, and
-so is an int or Fraction early-stop target; only a float target and the
-trajectory round energies to floats.
+callback, which receives the bare state int, in place of the table. A
+callback's ``_floor`` attribute, a lower bound on its energy, lets
+:func:`_restart_loop` end a restart's draws at the first block boundary
+where the restart's best meets it; the sweeps not drawn are booked as
+run, so the result is unchanged. Energies are compared exactly, as ints
+or the callback's own values, and so is an int or Fraction early-stop
+target; only a float target and the trajectory round energies to floats.
 
 The sequential visit loops keep per-visit interpreter work to what the
 dynamics need. A restart binds the schedule's ``temperature`` once and
@@ -176,7 +179,11 @@ def _sweeps_per_block(n: int, sweeps: int) -> int:
 
 
 def _sweep_draws(
-    order_rng: np.random.Generator, uniform_path: tuple[int, ...], n: int, sweeps: int
+    order_rng: np.random.Generator,
+    uniform_path: tuple[int, ...],
+    n: int,
+    sweeps: int,
+    stop: Callable[[], bool] | None = None,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield ``(first, orders, uniforms)`` for each block of one restart's sweeps.
 
@@ -190,7 +197,9 @@ def _sweep_draws(
     :func:`_sweeps_per_block` and each next one twice the last, up to that
     size, so a restart that stops in its first sweeps draws few it never
     reads; the last block may be short. The uniform stream is seeded when
-    the first block is drawn.
+    the first block is drawn. ``stop``, when given, is called before each
+    block after the first, once the sweeps already yielded have run, and a
+    true value ends the draws there.
     """
     block = _sweeps_per_block(n, sweeps)
     uniform_rng = _seeded_rng(*uniform_path)
@@ -198,6 +207,8 @@ def _sweep_draws(
     arange = np.arange(n)
     first, size = 0, max(1, block // 8)
     while first < sweeps:
+        if first and stop is not None and stop():
+            return
         k = min(size, sweeps - first)
         orders, uniforms = order_buffer[:k], uniform_buffer[:k]
         orders[:] = arange
@@ -230,6 +241,7 @@ def _restart_loop(
     target_energy: Fraction | int | float | None,
     record_trajectory: bool,
     den: int | None = None,
+    floor: Callable[[], Fraction | float | int] | None = None,
 ) -> AnnealResult:
     """Run the restarts of one annealing run, one ``kernel`` call each.
 
@@ -247,6 +259,14 @@ def _restart_loop(
     (any real that is not rational) is compared with the energy rounded to
     the nearest float, as the float nearest an exact floor may lie just
     below it. A target of None never fires.
+
+    ``floor``, given only with a callback that appends every sweep's best,
+    returns a lower bound on every state's energy. Once a restart's latest
+    ``sweep_bests`` entry is at most ``floor()``, no later sweep can find a
+    new best, so :func:`_sweep_draws` draws no block after the current one.
+    The sweeps left undrawn are booked as run: n evaluations each, and the
+    restart's best after each in ``sweep_bests``, so every field of the
+    result is the full run's.
     """
     to_float = float if den is None else lambda e: e / den
     exact = isinstance(target_energy, numbers.Rational)
@@ -262,9 +282,14 @@ def _restart_loop(
     for r in range(schedule.restarts):
         rng = _seeded_rng(seed, r)
         start = rng.integers(0, 2, size=n)
-        draws = _sweep_draws(rng, (seed, r, 1), n, schedule.sweeps)
         sweep_bests: list = []
+        stop = None if floor is None else lambda: sweep_bests[-1] <= floor()
+        draws = _sweep_draws(rng, (seed, r, 1), n, schedule.sweeps, stop)
         run_e, run_value, calls, done = kernel(draws, start, reaches_target, sweep_bests)
+        if floor is not None and not done:
+            undrawn = schedule.sweeps - len(sweep_bests)
+            calls += n * undrawn
+            sweep_bests += [run_e] * undrawn
         evaluations += calls
         if trajectory is not None:
             trajectory.extend(to_float(min(best_e, e)) for e in sweep_bests)
@@ -612,14 +637,22 @@ def anneal_black_box(
     The dynamics of :func:`anneal`, with no structure of the objective
     assumed: each restart evaluates its start state once, then every flip
     attempt costs one callback evaluation of the flipped state.
-    ``energy_evaluations`` counts callback calls, ``restarts_used`` plus
-    the flips attempted. The restarts run :func:`_int_sweeps`, the visit
-    loop of :func:`anneal`'s energy table, with the callback in place of
-    the table, so on the explicit model's energy it runs the dynamics of
-    :func:`anneal`, early stops included. The callback receives the state
-    as a plain int ``v`` with ``0 <= v < 2**n_vars``, whose bit k is
-    variable k; ``best_assignment`` is the :class:`BitVector` of the best
-    such int.
+    ``energy_evaluations`` counts the schedule's flip attempts plus the
+    starts, ``restarts_used`` of them. The restarts run :func:`_int_sweeps`,
+    the visit loop of :func:`anneal`'s energy table, with the callback in
+    place of the table, so on the explicit model's energy it runs the
+    dynamics of :func:`anneal`, early stops included. The callback
+    receives the state as a plain int ``v`` with ``0 <= v < 2**n_vars``,
+    whose bit k is variable k; ``best_assignment`` is the
+    :class:`BitVector` of the best such int.
+
+    A callback may carry a private zero-argument attribute ``_floor`` that
+    returns a lower bound on its energy, as the coupled Simon objective
+    does. A restart whose best meets that bound draws no further block of
+    sweeps, since none of them could find a new best. The sweeps of a
+    restart that stopped so are counted in ``energy_evaluations`` (n_vars
+    each) and in the trajectory without a callback call, so every field of
+    the result is the full run's.
 
     Energies are the callback's own values, so costs, the best-state
     comparison and the merge are exact for an int or Fraction objective,
@@ -634,6 +667,7 @@ def anneal_black_box(
         raise ValueError(f"need at least one variable, got n_vars={n_vars}")
     kernel = functools.partial(_int_sweeps, energy=energy, den=1,
                                temperature=schedule.temperature)
-    result = _restart_loop(kernel, n_vars, schedule, seed, target_energy, record_trajectory)
+    result = _restart_loop(kernel, n_vars, schedule, seed, target_energy, record_trajectory,
+                           floor=getattr(energy, "_floor", None))
     # Each restart also evaluated its start state.
     return replace(result, energy_evaluations=result.energy_evaluations + result.restarts_used)

@@ -260,6 +260,19 @@ def _coupled_objective(oracle: SimonOracle, j: int):
     mismatch plus a penalty keyed by ``v & sel``, the state's w_j and y_j
     bits in place; the table is filled from :func:`builders.coupled_value`
     at equal labels.
+
+    The callback's private attribute ``_floor()`` is the lower bound that
+    :func:`annealer.anneal_black_box` stops a restart at. It returns -1
+    (mismatch >= 0, penalty >= -1) until the memo holds all 2^n labels,
+    then the objective's exact minimum, computed once from the memo with
+    no query. A state with w_j = y_j reaches its penalty at w = y, and one
+    with w_j != y_j reaches it only if some label belongs both to a string
+    with bit j set and to one with bit j clear; else it pays mismatch 1.
+    So the minimum is -1 for such a shared label and 0 otherwise. Under
+    the solve's target of -1 a best of -1 ends the run first, so every
+    stop comes with a full memo and no query count changes. A run with no
+    target stops at a best of -1 with the same result, and without the
+    queries its remaining sweeps would have made.
     """
     n = oracle.n
     mask = (1 << n) - 1
@@ -270,6 +283,7 @@ def _coupled_objective(oracle: SimonOracle, j: int):
         key: coupled_value(0, 0, key >> w_bit & 1, key >> y_bit & 1)
         for key in (0, 1 << w_bit, 1 << y_bit, sel)
     }
+    exact_floor = None
 
     def energy(v: int) -> int:
         w = v & mask
@@ -284,6 +298,19 @@ def _coupled_objective(oracle: SimonOracle, j: int):
             gy = labels[y] = oracle.query(BitVector._of(y, n))
         return (gw != gy) + penalty[v & sel]
 
+    def floor() -> int:
+        nonlocal exact_floor
+        if exact_floor is None:
+            if len(labels) < 1 << n:
+                return -1
+            set_j = {g for s, g in labels.items() if s >> w_bit & 1}
+            clear_j = {g for s, g in labels.items() if not s >> w_bit & 1}
+            cross = int(set_j.isdisjoint(clear_j))  # least mismatch when w_j != y_j
+            least = {0: 0, sel: 0, 1 << w_bit: cross, 1 << y_bit: cross}
+            exact_floor = min(penalty[key] + least[key] for key in penalty)
+        return exact_floor
+
+    energy._floor = floor
     return energy
 
 

@@ -1,6 +1,7 @@
 """Protocols: recovery, verification probes, query accounting, bench tables."""
 
 import dataclasses
+import functools
 import json
 from pathlib import Path
 from unittest import mock
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hiddenstring import protocol
-from hiddenstring.annealer import AnnealSchedule, default_schedule
-from hiddenstring.builders import build_bv_qubo, simon_coupled_energy
+from hiddenstring.annealer import AnnealSchedule, anneal_black_box, default_schedule
+from hiddenstring.builders import build_bv_qubo, coupled_value, simon_coupled_energy
 from hiddenstring.model import BitVector
 from hiddenstring.oracles import BvOracle, SimonOracle, random_hidden_string
 from hiddenstring.protocol import (
@@ -207,6 +208,67 @@ class TestCoupledSearch:
         energy = _coupled_objective(oracle, 3)
         for v in [y << n for y in range(1 << n)] * 2 + list(range(1 << n)):
             energy(v)
+        assert oracle.queries == 1 << n
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_floor_is_exact_once_the_memo_is_full(self, n):
+        for a in range(1, 1 << n):
+            oracle = SimonOracle(BitVector.from_integer(a, n), seed=a + 10 * n)
+            table = oracle.reveal_label_table().tolist()
+            for j in range(1, n + 1):
+                energy = _coupled_objective(oracle, j)
+                for s in range(1 << n):  # the w halves, with y = 0 bought first
+                    assert energy._floor() == -1
+                    energy(s)
+                lowest = min(
+                    coupled_value(table[w], table[y], w >> (j - 1) & 1, y >> (j - 1) & 1)
+                    for w in range(1 << n) for y in range(1 << n)
+                )
+                assert energy._floor() == lowest
+                assert energy._floor() == (-1 if a >> (j - 1) & 1 else 0)
+
+    @pytest.mark.parametrize("restarts", [None, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_floor_stop_changes_no_result(self, n, restarts):
+        schedule = protocol._default_schedule("simon", "coupled", n)
+        if restarts is not None:
+            schedule = dataclasses.replace(schedule, restarts=restarts)
+        if n <= 4:
+            hidden = range(1, 1 << n)
+        else:
+            hidden = np.random.default_rng(n).choice(np.arange(1, 1 << n), 20, replace=False).tolist()
+        for a in hidden:
+            for j in range(1, n + 1):
+                oracles = [SimonOracle(BitVector.from_integer(a, n), seed=a) for _ in range(2)]
+                stopped = _coupled_objective(oracles[0], j)
+                plain = _coupled_objective(oracles[1], j)
+                runs = [
+                    anneal_black_box(energy, 2 * n, schedule, seed=a * n + j, target_energy=-1,
+                                     record_trajectory=True)
+                    for energy in (stopped, lambda v: plain(v))  # the lambda has no _floor
+                ]
+                assert runs[0] == runs[1]
+                assert oracles[0].queries == oracles[1].queries
+
+    def test_floor_stop_skips_the_sweeps_after_a_full_memo(self):
+        # Bit 1 of a is clear, so the j = 1 call cannot reach -1 and runs
+        # its whole schedule: 384 sweeps of 16 visits plus the start.
+        n, a = 8, 0b10110110
+        oracle = SimonOracle(BitVector.from_integer(a, n), seed=3)
+        energy = _coupled_objective(oracle, 1)
+        calls = 0
+
+        @functools.wraps(energy)
+        def counted(v):
+            nonlocal calls
+            calls += 1
+            return energy(v)
+
+        schedule = protocol._default_schedule("simon", "coupled", n)
+        result = anneal_black_box(counted, 2 * n, schedule, seed=5, target_energy=-1)
+        assert result.best_energy == 0
+        assert result.energy_evaluations == 384 * 2 * n + 1 == 6145
+        assert calls <= result.energy_evaluations - 1000
         assert oracle.queries == 1 << n
 
 
